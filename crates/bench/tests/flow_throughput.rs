@@ -9,7 +9,7 @@
 
 use recama::hw::ShardPolicy;
 use recama::workloads::{generate, traffic, BenchmarkId, PatternClass};
-use recama::{Engine, FlowScheduler, SetMatch, ShardedPatternSet};
+use recama::{Engine, SetMatch};
 use std::time::Instant;
 
 const FLOWS: usize = 16;
@@ -18,12 +18,8 @@ const ROUNDS: usize = 8;
 
 /// One full serving pass: round-robin chunk pushes with a run per round,
 /// returning (wall time, total hits).
-fn serve(
-    set: &ShardedPatternSet,
-    streams: &[Vec<u8>],
-    workers: usize,
-) -> (std::time::Duration, usize) {
-    let sched = FlowScheduler::new(set, workers);
+fn serve(engine: &Engine, streams: &[Vec<u8>], workers: usize) -> (std::time::Duration, usize) {
+    let sched = engine.scheduler_with(workers);
     let start = Instant::now();
     for round in 0..ROUNDS {
         let at = round * CHUNK;
@@ -54,12 +50,11 @@ fn flow_scheduler_is_byte_identical_and_scales_with_workers() {
         "degenerate workload: {}",
         patterns.len()
     );
-    let set = Engine::builder()
+    let engine = Engine::builder()
         .patterns(&patterns)
         .shard_policy(ShardPolicy::Fixed(4))
         .build()
-        .expect("sharded set compiles")
-        .into_set();
+        .expect("sharded set compiles");
 
     let streams: Vec<Vec<u8>> = (0..FLOWS)
         .map(|fi| traffic(&ruleset, ROUNDS * CHUNK, 0.0005, 2022 * 31 + fi as u64))
@@ -68,7 +63,7 @@ fn flow_scheduler_is_byte_identical_and_scales_with_workers() {
     // Acceptance: per-flow reports equal independent per-flow streams,
     // for 1 worker and 4 workers alike. Serves as warm-up for timing.
     for workers in [1usize, 4] {
-        let sched = FlowScheduler::new(&set, workers);
+        let sched = engine.scheduler_with(workers);
         for round in 0..ROUNDS {
             let at = round * CHUNK;
             for (fi, bytes) in streams.iter().enumerate() {
@@ -77,7 +72,7 @@ fn flow_scheduler_is_byte_identical_and_scales_with_workers() {
             sched.run();
         }
         for (fi, bytes) in streams.iter().enumerate() {
-            let mut stream = set.stream();
+            let mut stream = engine.stream();
             let mut expected: Vec<SetMatch> = Vec::new();
             for chunk in bytes.chunks(CHUNK) {
                 expected.extend(stream.feed(chunk));
@@ -94,7 +89,7 @@ fn flow_scheduler_is_byte_identical_and_scales_with_workers() {
     // scheduler stall on a shared CI machine flip the comparison.
     let best = |workers: usize| {
         (0..3)
-            .map(|_| serve(&set, &streams, workers))
+            .map(|_| serve(&engine, &streams, workers))
             .min()
             .expect("three samples")
     };

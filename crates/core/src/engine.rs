@@ -10,26 +10,23 @@
 //!
 //! * [`Engine::builder`] collects rules (with optional per-rule ids), a
 //!   [`ShardPolicy`], [`CompileOptions`], a worker count, and a
-//!   [`ServiceConfig`];
+//!   [`ServeConfig`];
 //! * [`EngineBuilder::build`] compiles everything into an [`Engine`] —
 //!   or a structured [`CompileError`] naming the failing rule's index,
 //!   source text, and pipeline phase;
 //! * the `Engine` then hands out the per-use handles:
 //!   [`scan`](Engine::scan) / [`scan_spans`](Engine::scan_spans) for
 //!   block mode, [`stream`](Engine::stream) for one resumable flow,
-//!   [`scheduler`](Engine::scheduler) for batch many-flow scanning, and
-//!   [`service`](Engine::service) for long-lived serving with
-//!   backpressure and idle-flow eviction.
+//!   [`serve`](Engine::serve) for the owned, long-lived
+//!   [`ServiceHandle`] with backpressure, idle-flow eviction, and hot
+//!   reload, and [`scheduler`](Engine::scheduler) for batch many-flow
+//!   scanning — a thin batch layer over a `ServiceHandle`.
 //!
-//! The older entry points (`PatternSet::compile_many`,
-//! `ShardedPatternSet::compile_many_with`, `compile_filtered`) are thin
-//! deprecated wrappers over this builder.
+//! The builder is the only way to compile a ruleset.
 
 use crate::prefilter::PrefilterMode;
 #[cfg(feature = "fault-inject")]
 use crate::service::FaultPlan;
-#[allow(deprecated)]
-use crate::service::FlowService;
 use crate::service::ServiceHandle;
 use crate::set::{SetMatch, SetSpan, ShardedPatternSet, ShardedSetStream};
 use crate::FlowScheduler;
@@ -124,36 +121,6 @@ pub struct SkippedRule {
     pub error: ParseError,
 }
 
-/// Configuration of the long-lived [`FlowService`] an [`Engine`] serves
-/// flows with — the knobs of the backpressured serving loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServiceConfig {
-    /// Per-flow input budget in bytes — the admission rule of
-    /// [`FlowService::try_push`]: a chunk is accepted if the flow
-    /// currently buffers **nothing** (so chunks larger than the whole
-    /// budget still make progress), or if `buffered + chunk.len()`
-    /// stays within this budget; otherwise `Poll::Pending`. A flow
-    /// therefore never buffers more than `flow_budget` bytes beyond a
-    /// single oversized first chunk.
-    pub flow_budget: usize,
-    /// Evict (close) flows that have seen no push *attempt* for this
-    /// long — a backpressured producer whose `try_push` keeps returning
-    /// `Pending` still counts as activity. `None` disables eviction.
-    /// Eviction still scans every buffered byte and resolves
-    /// `$`-anchored finishing matches, exactly like an explicit
-    /// [`FlowService::close`].
-    pub idle_timeout: Option<Duration>,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> ServiceConfig {
-        ServiceConfig {
-            flow_budget: 1 << 20, // 1 MiB per flow
-            idle_timeout: None,
-        }
-    }
-}
-
 /// What the service does when a worker panics mid-scan — the fault
 /// policy of [`ServeConfig::fault_policy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -172,13 +139,12 @@ pub enum FaultPolicy {
     /// poisoning. The default.
     #[default]
     Isolate,
-    /// Legacy fail-stop: the first worker panic poisons the whole
-    /// service — every blocking call on every flow then panics with the
-    /// payload summary. This was the only behavior before the
-    /// quarantine layer existed and remains available for callers that
-    /// prefer to die loudly; the deprecated scope-based [`FlowService`]
-    /// always runs fail-stop (its [`run`](FlowService::run) rethrows
-    /// the worker's payload).
+    /// Fail-stop, for callers that prefer to die loudly: the first
+    /// worker panic poisons the whole service — every blocking call on
+    /// every flow then panics with the payload summary (also available
+    /// as [`panic_message`](ServiceHandle::panic_message)), and the
+    /// checked calls return
+    /// [`ServeError::Poisoned`](crate::ServeError::Poisoned).
     FailStop,
 }
 
@@ -212,14 +178,9 @@ pub struct OverloadPolicy {
 }
 
 /// Configuration of an owned [`ServiceHandle`] (see [`Engine::serve`]):
-/// the [`ServiceConfig`] knobs plus the bounded-flow-table,
-/// sweep-cadence, fault-tolerance, and overload-shedding controls the
-/// long-lived serving shape needs.
-///
-/// `ServiceConfig` predates this struct and is kept (frozen) for the
-/// deprecated scope-based [`FlowService`]; `ServeConfig` is its
-/// superset, and [`From<ServiceConfig>`] maps the old knobs over with
-/// the new ones at their defaults.
+/// the per-flow and global byte budgets, idle eviction, the
+/// bounded-flow-table, sweep-cadence, fault-tolerance, and
+/// overload-shedding controls of the long-lived serving shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Per-flow input budget in bytes — the admission rule of
@@ -235,10 +196,8 @@ pub struct ServeConfig {
     /// `$`-anchored finishing matches, exactly like an explicit close.
     pub idle_timeout: Option<Duration>,
     /// Cadence of the idle-eviction sweep. `None` (the default) follows
-    /// `idle_timeout`, the historical behavior of the scope-based
-    /// service where the sweep interval was hard-coded to the workers'
-    /// park timeout; set it explicitly to sweep more or less often than
-    /// flows time out.
+    /// `idle_timeout`; set it explicitly to sweep more or less often
+    /// than flows time out.
     pub sweep_interval: Option<Duration>,
     /// Flow-table budget: opening a flow beyond this many live flows
     /// first evicts the least-recently-pushed *drained* open flow
@@ -257,7 +216,7 @@ pub struct ServeConfig {
     /// What a worker panic mid-scan does to the service: quarantine the
     /// offending flow and respawn the worker
     /// ([`FaultPolicy::Isolate`], the default), or poison the whole
-    /// service ([`FaultPolicy::FailStop`], the legacy behavior).
+    /// service ([`FaultPolicy::FailStop`]).
     pub fault_policy: FaultPolicy,
     /// Under [`FaultPolicy::Isolate`], how many worker respawns the
     /// service tolerates in total before it stops trusting itself and
@@ -293,16 +252,6 @@ impl Default for ServeConfig {
     }
 }
 
-impl From<ServiceConfig> for ServeConfig {
-    fn from(config: ServiceConfig) -> ServeConfig {
-        ServeConfig {
-            flow_budget: config.flow_budget,
-            idle_timeout: config.idle_timeout,
-            ..ServeConfig::default()
-        }
-    }
-}
-
 /// Builder for an [`Engine`] — the single place every compile-time knob
 /// lives. Created by [`Engine::builder`].
 #[derive(Debug, Clone)]
@@ -311,8 +260,7 @@ pub struct EngineBuilder {
     options: CompileOptions,
     policy: ShardPolicy,
     workers: usize,
-    service: ServiceConfig,
-    serve: Option<ServeConfig>,
+    serve: ServeConfig,
     lossy: bool,
     scan_mode: ScanMode,
     prefilter: Option<PrefilterMode>,
@@ -327,8 +275,7 @@ impl Default for EngineBuilder {
             options: CompileOptions::default(),
             policy: ShardPolicy::default(),
             workers: 1,
-            service: ServiceConfig::default(),
-            serve: None,
+            serve: ServeConfig::default(),
             lossy: false,
             scan_mode: ScanMode::default(),
             prefilter: None,
@@ -393,24 +340,19 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the worker-thread count [`Engine::scheduler`] and
-    /// [`Engine::service`] scan with (at least one).
+    /// Sets the worker-thread count [`Engine::serve`],
+    /// [`Engine::into_service`], and [`Engine::scheduler`] spawn (at
+    /// least one).
     pub fn workers(mut self, workers: usize) -> EngineBuilder {
         self.workers = workers.max(1);
         self
     }
 
-    /// Sets the [`ServiceConfig`] for [`Engine::service`].
-    pub fn service_config(mut self, config: ServiceConfig) -> EngineBuilder {
-        self.service = config;
-        self
-    }
-
     /// Sets the [`ServeConfig`] new owned handles ([`Engine::serve`],
-    /// [`Engine::into_service`]) start with. When unset, they derive it
-    /// from the [`ServiceConfig`] via `From`.
+    /// [`Engine::into_service`]) start with. Default:
+    /// [`ServeConfig::default`].
     pub fn serve_config(mut self, config: ServeConfig) -> EngineBuilder {
-        self.serve = Some(config);
+        self.serve = config;
         self
     }
 
@@ -520,7 +462,6 @@ impl EngineBuilder {
             indices,
             skipped,
             workers: self.workers,
-            service: self.service,
             serve: self.serve,
             #[cfg(feature = "fault-inject")]
             faults: self.faults,
@@ -568,8 +509,7 @@ pub struct Engine {
     indices: Vec<usize>,
     skipped: Vec<SkippedRule>,
     workers: usize,
-    service: ServiceConfig,
-    serve: Option<ServeConfig>,
+    serve: ServeConfig,
     /// The deterministic fault-injection plan every served handle
     /// inherits (chaos testing only — absent from normal builds).
     #[cfg(feature = "fault-inject")]
@@ -668,8 +608,9 @@ impl Engine {
         self.set.hardware(shard)
     }
 
-    /// The worker-thread count [`scheduler`](Engine::scheduler) and
-    /// [`service`](Engine::service) scan with.
+    /// The worker-thread count [`serve`](Engine::serve),
+    /// [`into_service`](Engine::into_service), and
+    /// [`scheduler`](Engine::scheduler) spawn.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -688,20 +629,13 @@ impl Engine {
         self.set.prefilter_mode()
     }
 
-    /// The [`ServiceConfig`] new [`service`](Engine::service) handles
-    /// start with.
-    pub fn service_config(&self) -> ServiceConfig {
-        self.service
-    }
-
     /// The underlying sharded set — the escape hatch to every lower
     /// layer (per-shard automata, spans, per-shard hardware).
     pub fn set(&self) -> &ShardedPatternSet {
         &self.set
     }
 
-    /// Unwraps the engine into its underlying [`ShardedPatternSet`]
-    /// (what the deprecated `compile_many` wrappers return).
+    /// Unwraps the engine into its underlying [`ShardedPatternSet`].
     ///
     /// # Panics
     ///
@@ -744,37 +678,19 @@ impl Engine {
         self.set.stream()
     }
 
-    /// A batch many-flow scheduler (`push`/`run`/`poll` cycles) over
-    /// this engine, using the configured
-    /// [`workers`](EngineBuilder::workers).
+    /// A batch many-flow scheduler (`push`/`run`/`poll` cycles, raw
+    /// `u64` flow ids) over this engine, with the configured
+    /// [`workers`](EngineBuilder::workers). It drives an owned
+    /// [`ServiceHandle`] with [`ServeConfig::default`] and inherits the
+    /// engine's fault-injection plan.
     pub fn scheduler(&self) -> FlowScheduler<'_> {
-        FlowScheduler::new(&self.set, self.workers)
+        FlowScheduler::new(self, self.workers)
     }
 
     /// Like [`scheduler`](Engine::scheduler) with an explicit worker
     /// count — for sweeps over the parallelism knob.
     pub fn scheduler_with(&self, workers: usize) -> FlowScheduler<'_> {
-        FlowScheduler::new(&self.set, workers)
-    }
-
-    /// A long-lived flow-serving handle over this engine: workers park
-    /// on the readiness condvar, [`try_push`](FlowService::try_push)
-    /// applies backpressure at the configured per-flow budget, and idle
-    /// flows are evicted. Drive it inside [`FlowService::run`].
-    #[deprecated(note = "use Engine::serve — the owned ServiceHandle needs no enclosing scope")]
-    #[allow(deprecated)]
-    pub fn service(&self) -> FlowService<'_> {
-        FlowService::new(self, self.workers, self.service)
-    }
-
-    /// Like [`service`](Engine::service) with an explicit
-    /// [`ServiceConfig`] and worker count.
-    #[deprecated(
-        note = "use Engine::serve_with — the owned ServiceHandle needs no enclosing scope"
-    )]
-    #[allow(deprecated)]
-    pub fn service_with(&self, workers: usize, config: ServiceConfig) -> FlowService<'_> {
-        FlowService::new(self, workers.max(1), config)
+        FlowScheduler::new(self, workers)
     }
 
     /// Spawns an owned, `'static` flow-serving handle over this engine:
@@ -797,18 +713,15 @@ impl Engine {
 
     /// Consumes the engine into an owned [`ServiceHandle`] configured
     /// from the builder ([`EngineBuilder::workers`],
-    /// [`EngineBuilder::serve_config`] /
-    /// [`EngineBuilder::service_config`]).
+    /// [`EngineBuilder::serve_config`]).
     pub fn into_service(self) -> ServiceHandle {
         self.serve()
     }
 
-    /// The [`ServeConfig`] new owned handles start with: the explicit
-    /// [`EngineBuilder::serve_config`] if one was set, otherwise
-    /// derived from the [`ServiceConfig`].
+    /// The [`ServeConfig`] new owned handles start with (set via
+    /// [`EngineBuilder::serve_config`]).
     pub fn serve_config(&self) -> ServeConfig {
         self.serve
-            .unwrap_or_else(|| ServeConfig::from(self.service))
     }
 
     /// The shared machine image (the epoch unit of hot reload).

@@ -51,20 +51,16 @@ mod set;
 
 pub use engine::{
     CompileError, CompilePhase, Engine, EngineBuilder, FaultPolicy, OverloadPolicy, ServeConfig,
-    ServiceConfig, SkippedRule,
+    SkippedRule,
 };
 pub use prefilter::{PrefilterMetrics, PrefilterMode};
 pub use recama_nca::{HybridStats, ScanMode, DEFAULT_STATE_BUDGET};
 pub use sched::{FlowMatch, FlowScheduler};
 #[cfg(feature = "fault-inject")]
 pub use service::FaultPlan;
-#[allow(deprecated)]
-pub use service::FlowService;
 pub use service::{
     FaultMetrics, FlowId, RuleMatch, ServeError, ServiceEvent, ServiceHandle, ServiceMetrics,
 };
-#[allow(deprecated)]
-pub use set::SetCompileError;
 pub use set::{PatternSet, SetMatch, SetSpan, SetStream, ShardedPatternSet, ShardedSetStream};
 
 use recama_compiler::{compile, CompileOptions, CompileOutput};

@@ -1,5 +1,5 @@
-//! [`FlowScheduler`]: a many-flow scanning service over a sharded
-//! pattern set.
+//! [`FlowScheduler`]: batch many-flow scanning over a sharded pattern
+//! set.
 //!
 //! The paper evaluates CAMA as an IDS-class engine (Snort/Suricata
 //! rulesets), and the workload such an engine serves is not one byte
@@ -9,41 +9,37 @@
 //! so the scheduling layer must keep every core busy with whatever flow
 //! has bytes pending instead of binding workers to flows.
 //!
-//! The scheduler owns `N flows × K shards` resumable engine states
-//! ([`ShardStream`]), fed through three moves:
+//! The scheduler is a thin batch layer over the crate's one scheduling
+//! core, the owned [`ServiceHandle`]: it addresses flows by
+//! caller-chosen `u64` ids and reports pattern-indexed [`SetMatch`]es,
+//! through three moves:
 //!
 //! * [`push`](FlowScheduler::push) buffers a `(flow, chunk)` pair and
-//!   marks the flow's shard units *ready* (epoll-style readiness: a unit
-//!   is ready when its shard has unconsumed bytes and no worker holds its
-//!   engine);
-//! * [`run`](FlowScheduler::run) drains the readiness queue on a fixed
-//!   pool of scoped worker threads. The work unit is a **(flow, shard)**
-//!   pair, so two workers can advance *different shards of the same
-//!   flow* concurrently — that is why the per-shard states are split out
-//!   of [`ShardedSetStream`](crate::ShardedSetStream) individually;
+//!   marks the flow's `(flow, shard)` units ready; the handle's live
+//!   workers start scanning right away. The work unit is a
+//!   `(flow, shard)` pair, so two workers can advance *different shards
+//!   of the same flow* concurrently;
+//! * [`run`](FlowScheduler::run) is the handle's
+//!   [`barrier`](ServiceHandle::barrier): it returns once every pushed
+//!   byte has been scanned;
 //! * [`poll`](FlowScheduler::poll) drains a flow's ordered report queue;
 //!   [`drain_global`](FlowScheduler::drain_global) drains the global
 //!   sink of `(flow, match)` events.
 //!
 //! Per-flow reports are **byte-identical** (same reports, same order) to
 //! feeding that flow's chunks through its own independent
-//! [`ShardedSetStream`](crate::ShardedSetStream): shard report buffers
-//! are merged by `(end, pattern)` up to the *watermark* — the least
-//! position any shard of the flow has consumed — so ordering never
-//! depends on which worker ran first. Like the streams, the scheduler
-//! applies no trailing-`$` filter mid-flow (a flow has no end until it
-//! is [`close`](FlowScheduler::close)d); once a closed flow drains,
-//! [`finishing`](FlowScheduler::finishing) resolves which `$`-anchored
-//! candidates actually landed on the final byte, mirroring
+//! [`ShardedSetStream`](crate::ShardedSetStream). Like the streams, the
+//! scheduler applies no trailing-`$` filter mid-flow (a flow has no end
+//! until it is [`close`](FlowScheduler::close)d); once a closed flow
+//! drains, [`finishing`](FlowScheduler::finishing) resolves which
+//! `$`-anchored candidates actually landed on the final byte, mirroring
 //! [`ShardedSetStream::finish`](crate::ShardedSetStream::finish).
 
-use crate::prefilter::{ChunkAction, PrefilterCounters, PrefilterMetrics, PrefilterState};
-use crate::set::DollarTracker;
-use crate::{SetMatch, ShardedPatternSet};
-use recama_nca::{HybridStats, MultiReport, ScanMode, ShardStream};
-use std::collections::{HashMap, VecDeque};
+use crate::{Engine, PrefilterMetrics, ServeConfig, ServiceHandle, SetMatch};
+use recama_nca::HybridStats;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
+use std::marker::PhantomData;
+use std::sync::Arc;
 
 /// A match attributed to a flow — the global-sink event type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -68,7 +64,7 @@ impl FlowMatch {
 
 /// A buffered input chunk: `bytes` starts at absolute stream offset
 /// `start` within its flow. Chunks are `Arc`-shared so workers can scan
-/// them outside the scheduler lock while slower shards still reference
+/// them outside the service lock while slower shards still reference
 /// them.
 #[derive(Clone)]
 pub(crate) struct Segment {
@@ -82,446 +78,23 @@ impl Segment {
     }
 }
 
-/// One checkout-able (flow, shard) engine unit.
-struct ShardSlot<'a> {
-    /// `None` while a worker holds the engine.
-    stream: Option<ShardStream<'a>>,
-    /// Reports not yet merged into the flow queue: global pattern ids,
-    /// absolute ends, sorted by `(end, pattern)`.
-    pending: VecDeque<MultiReport>,
-    /// Bytes of the flow this shard has consumed (as of last check-in).
-    pos: u64,
-    /// Whether the unit is in the ready queue *or* checked out — either
-    /// way it must not be enqueued again.
-    busy: bool,
-    /// Literal-prefilter state: the unit is skipped while cold (see
-    /// [`crate::PrefilterMode`]). Cold units are never queued, so their
-    /// engine is always present and fresh.
-    pre: PrefilterState,
-}
-
-/// Per-flow state: buffered input, one [`ShardSlot`] per shard, and the
-/// merged in-order report queue. Shared between the batch-mode
-/// [`FlowScheduler`] and the long-lived
-/// [`FlowService`](crate::FlowService).
-pub(crate) struct Flow<'a> {
-    segments: VecDeque<Segment>,
-    /// Total bytes pushed (absolute length of the flow so far).
-    total: u64,
-    pub(crate) closed: bool,
-    /// Empty once a closed flow has fully drained (engines freed).
-    shards: Vec<ShardSlot<'a>>,
-    reports: VecDeque<SetMatch>,
-    /// Last `$`-anchored candidates, so closing the flow can resolve
-    /// which of them land on the final byte (the stream `finish`
-    /// contract, per flow).
-    dollar: DollarTracker<'a>,
-    /// The resolved finishing set of a finished flow, until drained by
-    /// [`FlowScheduler::finishing`].
-    finishing: Vec<SetMatch>,
-    /// Last `window` bytes of the flow, kept while any shard is cold so
-    /// a prefilter wake-up can replay the bytes a match may have
-    /// started in.
-    tail: Vec<u8>,
-}
-
-impl<'a> Flow<'a> {
-    fn new(set: &'a ShardedPatternSet) -> Flow<'a> {
-        Flow {
-            segments: VecDeque::new(),
-            total: 0,
-            closed: false,
-            shards: set
-                .shard_streams()
-                .into_iter()
-                .map(|stream| ShardSlot {
-                    stream: Some(stream),
-                    pending: VecDeque::new(),
-                    pos: 0,
-                    busy: false,
-                    pre: PrefilterState::default(),
-                })
-                .collect(),
-            reports: VecDeque::new(),
-            dollar: DollarTracker::new(set.anchored_end()),
-            finishing: Vec::new(),
-            tail: Vec::new(),
-        }
-    }
-
-    /// Bytes pushed but not yet consumed by every shard — the quantity
-    /// the [`FlowService`](crate::FlowService) input budget bounds.
-    pub(crate) fn buffered(&self) -> u64 {
-        self.total - self.watermark()
-    }
-
-    /// The least position any shard has consumed — reports with ends at
-    /// or below it are final and safe to merge in order.
-    fn watermark(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|slot| slot.pos)
-            .min()
-            .unwrap_or(self.total)
-    }
-
-    /// Merges shard-pending reports up to the watermark into the flow
-    /// queue (ordered by `(end, pattern)`, the stream order) and the
-    /// global sink, then drops input segments every shard has consumed.
-    fn merge_ready_reports(&mut self, flow_id: u64, sink: &mut Vec<FlowMatch>) {
-        let watermark = self.watermark();
-        loop {
-            let mut best: Option<(usize, (u64, u32))> = None;
-            for (si, slot) in self.shards.iter().enumerate() {
-                if let Some(r) = slot.pending.front() {
-                    if r.end <= watermark && best.is_none_or(|(_, key)| (r.end, r.pattern) < key) {
-                        best = Some((si, (r.end, r.pattern)));
-                    }
-                }
-            }
-            let Some((si, _)) = best else { break };
-            let r = self.shards[si].pending.pop_front().expect("best exists");
-            self.dollar.observe(r.pattern as usize, r.end);
-            self.reports.push_back(SetMatch {
-                pattern: r.pattern as usize,
-                end: r.end as usize,
-            });
-            sink.push(FlowMatch {
-                flow: flow_id,
-                pattern: r.pattern as usize,
-                end: r.end as usize,
-            });
-        }
-        while self
-            .segments
-            .front()
-            .is_some_and(|seg| seg.end() <= watermark)
-        {
-            self.segments.pop_front();
-        }
-    }
-
-    /// Frees the engines of a closed, fully-consumed flow and resolves
-    /// its `$`-anchored finishing set. The report queue stays pollable;
-    /// a later [`FlowScheduler::push`] with the same id starts a fresh
-    /// stream at position 0.
-    fn try_finish(&mut self) {
-        if self.shards.is_empty() {
-            return; // already finished
-        }
-        let drained = self
-            .shards
-            .iter()
-            .all(|slot| slot.stream.is_some() && !slot.busy && slot.pos == self.total);
-        if self.closed && drained {
-            debug_assert!(self.shards.iter().all(|slot| slot.pending.is_empty()));
-            self.shards.clear();
-            self.segments.clear();
-            self.finishing.extend(self.dollar.finish(self.total));
-        }
-    }
-
-    /// Whether the flow is closed and its engines have been freed.
-    pub(crate) fn finished(&self) -> bool {
-        self.closed && self.shards.is_empty()
-    }
-}
-
-/// Everything the scheduler (or service) lock protects: the flow table,
-/// the readiness queue, and the global sink. The scheduling moves —
-/// open/buffer on push, checkout/check-in around an unlocked scan —
-/// live here so the batch-mode [`FlowScheduler`] and the long-lived
-/// [`FlowService`](crate::FlowService) share one implementation.
-pub(crate) struct Shared<'a> {
-    pub(crate) flows: HashMap<u64, Flow<'a>>,
-    /// Readiness queue of `(flow, shard)` units with unconsumed bytes.
-    pub(crate) ready: VecDeque<(u64, usize)>,
-    /// Units currently checked out by workers.
-    pub(crate) in_flight: usize,
-    /// Global sink: every merged match, attributed to its flow.
-    sink: Vec<FlowMatch>,
-    /// Prefilter skip/wake counters across all flows.
-    pre_counters: PrefilterCounters,
-}
-
-/// A `(flow, shard)` unit checked out of the readiness queue: the
-/// shard's engine plus the input segments it still has to consume,
-/// detached from the lock so the scan runs unlocked.
-pub(crate) struct CheckedOut<'a> {
-    flow: u64,
-    shard: usize,
-    stream: ShardStream<'a>,
-    segments: Vec<Segment>,
-}
-
-impl CheckedOut<'_> {
-    /// Scans every unconsumed byte of the checked-out segments,
-    /// returning the shard's reports (global pattern ids, absolute
-    /// ends). Runs WITHOUT the lock held.
-    pub(crate) fn scan(&mut self) -> Vec<MultiReport> {
-        let mut reports = Vec::new();
-        for seg in &self.segments {
-            let skip = (self.stream.position() - seg.start) as usize;
-            self.stream.feed_into(&seg.bytes[skip..], &mut reports);
-        }
-        reports
-    }
-}
-
-impl<'a> Shared<'a> {
-    pub(crate) fn new() -> Shared<'a> {
-        Shared {
-            flows: HashMap::new(),
-            ready: VecDeque::new(),
-            in_flight: 0,
-            sink: Vec::new(),
-            pre_counters: PrefilterCounters::default(),
-        }
-    }
-
-    /// Opens (or reopens) `flow` for pushing and returns it. Reopening a
-    /// finished flow starts a fresh incarnation whose undrained reports
-    /// and finishing set survive. Fails if the flow is closed but not
-    /// yet drained — close is a promise that no more bytes come.
-    pub(crate) fn open_flow(
-        &mut self,
-        set: &'a ShardedPatternSet,
-        flow: u64,
-    ) -> Result<&mut Flow<'a>, PushToClosed> {
-        let f = self.flows.entry(flow).or_insert_with(|| Flow::new(set));
-        if f.finished() {
-            let kept_reports = std::mem::take(&mut f.reports);
-            let kept_finishing = std::mem::take(&mut f.finishing);
-            *f = Flow::new(set);
-            f.reports = kept_reports;
-            f.finishing = kept_finishing;
-        }
-        if f.closed {
-            return Err(PushToClosed);
-        }
-        Ok(f)
-    }
-
-    /// Buffers `chunk` for an open `flow` and marks its idle shard units
-    /// ready — except units the literal prefilter proves cold, whose
-    /// position advances past the chunk without a scan. Returns the
-    /// flow's new total length. A zero-length chunk schedules no work.
-    pub(crate) fn buffer_chunk(
-        &mut self,
-        set: &'a ShardedPatternSet,
-        flow: u64,
-        chunk: &[u8],
-    ) -> u64 {
-        let f = self.flows.get_mut(&flow).expect("buffer_chunk: open flow");
-        if chunk.is_empty() {
-            return f.total;
-        }
-        let chunk_start = f.total;
-        f.segments.push_back(Segment {
-            start: chunk_start,
-            bytes: Arc::from(chunk),
-        });
-        f.total += chunk.len() as u64;
-        let Some(pf) = set.prefilter() else {
-            for (si, slot) in f.shards.iter_mut().enumerate() {
-                if !slot.busy {
-                    slot.busy = true;
-                    self.ready.push_back((flow, si));
-                }
-            }
-            return f.total;
-        };
-        // Filter verdict per shard; the filter state advances over the
-        // chunk even when the scan is skipped.
-        let actions: Vec<ChunkAction> = f
-            .shards
-            .iter_mut()
-            .enumerate()
-            .map(|(si, slot)| pf.chunk_action(si, &mut slot.pre, chunk, chunk_start, 0))
-            .collect();
-        // A woken unit replays up to a window of bytes before the chunk;
-        // if those already fell off the segment queue, re-cover them
-        // with a synthetic segment sliced from the tail buffer (keeping
-        // the queue contiguous for `CheckedOut::scan`'s skip math).
-        let min_replay = actions
-            .iter()
-            .filter_map(|a| match a {
-                ChunkAction::Wake { replay_start } => Some(*replay_start),
-                _ => None,
-            })
-            .min();
-        if let Some(min_replay) = min_replay {
-            let front_start = f.segments.front().map_or(f.total, |s| s.start);
-            if min_replay < front_start {
-                let tail_start = chunk_start - f.tail.len() as u64;
-                debug_assert!(min_replay >= tail_start, "tail covers every replay window");
-                let a = (min_replay - tail_start) as usize;
-                let b = (front_start - tail_start) as usize;
-                f.segments.push_front(Segment {
-                    start: min_replay,
-                    bytes: Arc::from(&f.tail[a..b]),
-                });
-            }
-        }
-        let mut skipped = false;
-        for (si, (slot, action)) in f.shards.iter_mut().zip(&actions).enumerate() {
-            match action {
-                ChunkAction::Scan => {
-                    if !slot.busy {
-                        slot.busy = true;
-                        self.ready.push_back((flow, si));
-                    }
-                }
-                ChunkAction::Skip => {
-                    // Cold units are never queued, so the engine is home.
-                    debug_assert!(!slot.busy, "cold units are never busy");
-                    slot.pos = f.total;
-                    slot.stream
-                        .as_mut()
-                        .expect("cold units hold their engine")
-                        .restart_at(f.total);
-                    self.pre_counters.skipped_units.add(si, 1);
-                    self.pre_counters.skipped_bytes.add(si, chunk.len() as u64);
-                    skipped = true;
-                }
-                ChunkAction::Wake { replay_start } => {
-                    debug_assert!(!slot.busy, "cold units are never busy");
-                    slot.pos = *replay_start;
-                    slot.stream
-                        .as_mut()
-                        .expect("cold units hold their engine")
-                        .restart_at(*replay_start);
-                    self.pre_counters.candidate_hits += 1;
-                    slot.busy = true;
-                    self.ready.push_back((flow, si));
-                }
-            }
-        }
-        pf.extend_tail(&mut f.tail, chunk);
-        if skipped {
-            // Skips advance the watermark without a check-in: merge (and
-            // drop fully-consumed segments) promptly.
-            f.merge_ready_reports(flow, &mut self.sink);
-        }
-        f.total
-    }
-
-    /// Pops a ready `(flow, shard)` unit and checks its engine out,
-    /// along with the segments it has yet to consume.
-    pub(crate) fn checkout(&mut self) -> Option<CheckedOut<'a>> {
-        let (flow, si) = self.ready.pop_front()?;
-        let f = self
-            .flows
-            .get_mut(&flow)
-            .expect("ready unit belongs to a live flow");
-        let slot = &mut f.shards[si];
-        debug_assert!(slot.busy, "queued units are marked busy");
-        let stream = slot.stream.take().expect("ready slot holds its engine");
-        let from = stream.position();
-        let segments: Vec<Segment> = f
-            .segments
-            .iter()
-            .filter(|seg| seg.end() > from)
-            .cloned()
-            .collect();
-        self.in_flight += 1;
-        Some(CheckedOut {
-            flow,
-            shard: si,
-            stream,
-            segments,
-        })
-    }
-
-    /// Checks a scanned unit back in: publishes its reports, requeues it
-    /// if more bytes arrived while it was out, merges what became final,
-    /// and settles `in_flight`.
-    pub(crate) fn check_in(&mut self, unit: CheckedOut<'a>, reports: Vec<MultiReport>) {
-        let CheckedOut {
-            flow,
-            shard: si,
-            stream,
-            ..
-        } = unit;
-        let Some(f) = self.flows.get_mut(&flow) else {
-            // A sibling unit's panic dropped this flow while the unit
-            // was out scanning (see `InFlightGuard`): drop the late
-            // reports, settle the count.
-            self.in_flight -= 1;
-            return;
-        };
-        let slot = &mut f.shards[si];
-        slot.pos = stream.position();
-        slot.stream = Some(stream);
-        slot.pending.extend(reports);
-        if slot.pos < f.total {
-            self.ready.push_back((flow, si)); // more bytes arrived meanwhile
-        } else {
-            slot.busy = false;
-        }
-        f.merge_ready_reports(flow, &mut self.sink);
-        f.try_finish();
-        self.in_flight -= 1;
-    }
-
-    /// Marks `flow` closed and finishes it if already drained. Closing
-    /// an unknown id is a no-op.
-    pub(crate) fn close_flow(&mut self, flow: u64) {
-        if let Some(f) = self.flows.get_mut(&flow) {
-            f.closed = true;
-            f.merge_ready_reports(flow, &mut self.sink);
-            f.try_finish();
-        }
-    }
-
-    /// Drains `flow`'s ordered report queue, forgetting a fully-drained
-    /// finished flow.
-    pub(crate) fn poll_flow(&mut self, flow: u64) -> Vec<SetMatch> {
-        let Some(f) = self.flows.get_mut(&flow) else {
-            return Vec::new();
-        };
-        let out: Vec<SetMatch> = f.reports.drain(..).collect();
-        if f.finished() && f.finishing.is_empty() {
-            self.flows.remove(&flow);
-        }
-        out
-    }
-
-    /// Drains `flow`'s finishing set, forgetting a fully-drained
-    /// finished flow.
-    pub(crate) fn finishing_flow(&mut self, flow: u64) -> Vec<SetMatch> {
-        let Some(f) = self.flows.get_mut(&flow) else {
-            return Vec::new();
-        };
-        let out = std::mem::take(&mut f.finishing);
-        if f.finished() && f.reports.is_empty() {
-            self.flows.remove(&flow);
-        }
-        out
-    }
-
-    /// Drains the global sink.
-    pub(crate) fn drain_sink(&mut self) -> Vec<FlowMatch> {
-        std::mem::take(&mut self.sink)
-    }
-
-    /// Bytes pushed to `flow` so far (`None` for unknown flows).
-    pub(crate) fn flow_len(&self, flow: u64) -> Option<u64> {
-        self.flows.get(&flow).map(|f| f.total)
-    }
-
-    /// Total bytes buffered but not yet consumed by every shard.
-    pub(crate) fn pending_bytes(&self) -> u64 {
-        self.flows.values().map(Flow::buffered).sum()
-    }
-}
-
-/// Rejected push: the flow is closed and has not finished draining.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct PushToClosed;
-
-/// A scanning service over a [`ShardedPatternSet`] for many concurrent
-/// flows. See the [module docs](self) for the architecture.
+/// A batch scanning service over an [`Engine`] for many concurrent
+/// flows; create one with [`Engine::scheduler`] or
+/// [`Engine::scheduler_with`]. See the [module docs](self) for the
+/// architecture.
+///
+/// The scheduler owns a [`ServiceHandle`] with the default
+/// [`ServeConfig`], so:
+///
+/// * its workers scan as bytes arrive, not only inside
+///   [`run`](FlowScheduler::run);
+/// * a flow buffering more than the 1 MiB per-flow budget makes
+///   [`push`](FlowScheduler::push) block until the workers catch up;
+/// * a panic inside a scan quarantines only that flow
+///   ([`FaultPolicy::Isolate`](crate::FaultPolicy::Isolate)) and does
+///   not propagate out of `run`: the flow's reports merged before the
+///   fault stay pollable, and a later push reopens the id as a fresh
+///   flow.
 ///
 /// # Examples
 ///
@@ -547,34 +120,26 @@ pub(crate) struct PushToClosed;
 /// assert_eq!(sched.drain_global().len(), 2);
 /// ```
 pub struct FlowScheduler<'a> {
-    set: &'a ShardedPatternSet,
-    workers: usize,
-    shared: Mutex<Shared<'a>>,
-    /// Signalled when the ready queue grows or `in_flight` drops —
-    /// idle workers wait here instead of spinning.
-    wake: Condvar,
+    handle: ServiceHandle,
+    /// Schedulers are handed out by an [`Engine`] and keep its borrow
+    /// shape, though the handle shares the machine image itself.
+    _engine: PhantomData<&'a Engine>,
 }
 
 impl<'a> FlowScheduler<'a> {
-    /// A scheduler over `set` with a pool of `workers` threads (at least
-    /// one) for [`run`](FlowScheduler::run).
-    pub fn new(set: &'a ShardedPatternSet, workers: usize) -> FlowScheduler<'a> {
+    /// A scheduler over `engine` with `workers` live worker threads (at
+    /// least one). The engine's fault-injection plan, if any, is
+    /// inherited.
+    pub(crate) fn new(engine: &'a Engine, workers: usize) -> FlowScheduler<'a> {
         FlowScheduler {
-            set,
-            workers: workers.max(1),
-            shared: Mutex::new(Shared::new()),
-            wake: Condvar::new(),
+            handle: ServiceHandle::spawn(engine, workers, ServeConfig::default()),
+            _engine: PhantomData,
         }
     }
 
-    /// The compiled set this scheduler scans with.
-    pub fn set(&self) -> &'a ShardedPatternSet {
-        self.set
-    }
-
-    /// The worker-pool size [`run`](FlowScheduler::run) uses.
+    /// The worker-pool size.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.handle.workers()
     }
 
     /// Buffers `chunk` for `flow`, opening the flow on first use. A
@@ -582,85 +147,39 @@ impl<'a> FlowScheduler<'a> {
     /// a [`close`](FlowScheduler::close)d-and-drained id reopens it as a
     /// **fresh** flow (new engine states, positions restarting at 0);
     /// undrained reports of the previous incarnation stay pollable.
+    ///
+    /// Blocks while the flow is over its 1 MiB input budget, until the
+    /// workers catch up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flow` is closed and not yet drained — see
+    /// [`close`](FlowScheduler::close).
     pub fn push(&self, flow: u64, chunk: &[u8]) {
-        let mut shared = self.shared.lock().expect("scheduler lock");
-        if shared.open_flow(self.set, flow).is_err() {
+        if self.handle.push_raw(flow, chunk).is_none() {
             panic!("push to closed flow {flow}: run() + poll() it first, or use a new id");
         }
-        shared.buffer_chunk(self.set, flow, chunk);
-        self.wake.notify_all();
     }
 
-    /// Marks `flow` closed: already-buffered bytes are still scanned by
-    /// the next [`run`](FlowScheduler::run), after which the flow's
-    /// engine states are freed. Its reports stay pollable; the id can be
-    /// reused afterwards (see [`push`](FlowScheduler::push)). Closing an
-    /// unknown id is a no-op.
+    /// Marks `flow` closed: already-buffered bytes are still scanned,
+    /// after which the flow's engine states are freed. Its reports stay
+    /// pollable; the id can be reused once it has drained (see
+    /// [`push`](FlowScheduler::push)). Closing an unknown id is a no-op.
     ///
     /// # Panics
     ///
     /// [`push`](FlowScheduler::push)ing to a closed flow that has not
     /// drained yet panics — close is a promise that no more bytes come.
+    /// [`run`](FlowScheduler::run) drains every closed flow.
     pub fn close(&self, flow: u64) {
-        self.shared.lock().expect("scheduler lock").close_flow(flow);
+        self.handle.close_raw(flow);
     }
 
-    /// Scans everything buffered so far on the worker pool, returning
-    /// once every flow's shards have consumed every pushed byte. Workers
-    /// pull `(flow, shard)` units off the readiness queue, scan outside
-    /// the lock, and check the engine back in; a unit that received more
-    /// bytes while checked out goes straight back on the queue.
-    ///
+    /// Returns once every flow's shards have consumed every pushed byte.
     /// Engine states persist across calls — `push`/`run`/`poll` cycles
     /// can repeat forever, which is the serving loop.
     pub fn run(&self) {
-        if self.workers == 1 {
-            self.worker_loop();
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..self.workers {
-                    scope.spawn(|| self.worker_loop());
-                }
-            });
-        }
-    }
-
-    fn worker_loop(&self) {
-        loop {
-            // Check a ready unit out (or conclude the batch is done).
-            let mut shared = self.shared.lock().expect("scheduler lock");
-            let mut unit = loop {
-                if let Some(unit) = shared.checkout() {
-                    break unit;
-                }
-                if shared.in_flight == 0 {
-                    return; // nothing ready, nothing pending: batch done
-                }
-                shared = self.wake.wait(shared).expect("scheduler lock");
-            };
-            drop(shared);
-
-            // If the scan panics while the unit is checked out, siblings
-            // waiting on `wake` would otherwise sleep forever (in_flight
-            // never drops) and thread::scope would never join — turning
-            // an engine panic into a deadlock. The guard settles the
-            // count on unwind so every worker exits and the panic
-            // propagates out of run().
-            let guard = InFlightGuard {
-                sched: self,
-                flow: unit.flow,
-            };
-
-            // Scan outside the lock; other workers may be advancing other
-            // shards of the same flow right now.
-            let reports = unit.scan();
-
-            // Check the unit back in and publish what became final.
-            let mut shared = self.shared.lock().expect("scheduler lock");
-            shared.check_in(unit, reports);
-            std::mem::forget(guard); // settled by check_in under the lock
-            self.wake.notify_all();
-        }
+        self.handle.barrier();
     }
 
     /// Drains `flow`'s ordered report queue (stream order: ascending end,
@@ -668,7 +187,7 @@ impl<'a> FlowScheduler<'a> {
     /// and finishing set have all been drained is forgotten, freeing its
     /// table entry.
     pub fn poll(&self, flow: u64) -> Vec<SetMatch> {
-        self.shared.lock().expect("scheduler lock").poll_flow(flow)
+        self.handle.poll_raw(flow)
     }
 
     /// Drains `flow`'s **finishing set**: the `$`-anchored matches that
@@ -683,21 +202,16 @@ impl<'a> FlowScheduler<'a> {
     ///
     /// [`ShardedSetStream::finish`]: crate::ShardedSetStream::finish
     pub fn finishing(&self, flow: u64) -> Vec<SetMatch> {
-        self.shared
-            .lock()
-            .expect("scheduler lock")
-            .finishing_flow(flow)
+        self.handle.finishing_raw(flow)
     }
 
-    /// Drains the global sink: every merged match of every flow, in the
-    /// order the scheduler finalized them.
+    /// Drains the global sink: every merged match of every flow, in
+    /// the order the scheduler finalized them.
     ///
     /// # Ordering contract
     ///
-    /// Pinned by `tests/service_reload.rs` (and shared by every
-    /// `drain_global` in the crate — [`FlowService`](crate::FlowService)
-    /// and [`ServiceHandle`](crate::ServiceHandle) have the same
-    /// contract):
+    /// The contract of [`ServiceHandle::drain_global`], pinned by
+    /// `tests/service_reload.rs`:
     ///
     /// * **within one flow**, events appear in stream order — ascending
     ///   end offset, ascending pattern index within one end — exactly
@@ -708,47 +222,38 @@ impl<'a> FlowScheduler<'a> {
     ///   by the call, and an event is never in both an earlier and a
     ///   later drain.
     pub fn drain_global(&self) -> Vec<FlowMatch> {
-        self.shared.lock().expect("scheduler lock").drain_sink()
+        self.handle.drain_global_raw()
     }
 
     /// Number of flows currently tracked (open, or closed with undrained
     /// reports).
     pub fn flow_count(&self) -> usize {
-        self.shared.lock().expect("scheduler lock").flows.len()
+        self.handle.flow_count()
     }
 
     /// Bytes pushed to `flow` so far (`None` for unknown flows). After a
     /// close + reopen this restarts from the new incarnation's bytes.
     pub fn flow_len(&self, flow: u64) -> Option<u64> {
-        self.shared.lock().expect("scheduler lock").flow_len(flow)
+        self.handle.flow_len_raw(flow)
     }
 
-    /// Total bytes buffered but not yet consumed by every shard — the
-    /// scan debt the next [`run`](FlowScheduler::run) clears.
+    /// Total bytes buffered but not yet consumed by every shard. The
+    /// workers scan as bytes arrive, so between a
+    /// [`push`](FlowScheduler::push) and [`run`](FlowScheduler::run)
+    /// this is a moving snapshot; after `run` it is 0.
     pub fn pending_bytes(&self) -> u64 {
-        self.shared.lock().expect("scheduler lock").pending_bytes()
+        self.handle.pending_bytes()
     }
 
-    /// Aggregated hybrid-overlay statistics across every live flow's
-    /// shard engines, or `None` when the set scans in
-    /// [`ScanMode::Nca`]. Engines currently checked out by workers and
-    /// engines of finished flows (freed at close + drain) are not
-    /// counted — sample between [`run`](FlowScheduler::run)s, before
-    /// closing, for complete numbers.
+    /// Aggregated hybrid-overlay statistics across every shard engine
+    /// the scheduler has run — those of finished flows included — or
+    /// `None` when the set scans in [`ScanMode::Nca`]. Engines
+    /// currently checked out by workers are not counted; sample after
+    /// [`run`](FlowScheduler::run) for complete numbers.
+    ///
+    /// [`ScanMode::Nca`]: crate::ScanMode::Nca
     pub fn hybrid_stats(&self) -> Option<HybridStats> {
-        if matches!(self.set.scan_mode(), ScanMode::Nca) {
-            return None;
-        }
-        let shared = self.shared.lock().expect("scheduler lock");
-        let mut total = HybridStats::default();
-        for flow in shared.flows.values() {
-            for slot in &flow.shards {
-                if let Some(stats) = slot.stream.as_ref().and_then(ShardStream::hybrid_stats) {
-                    total.merge(&stats);
-                }
-            }
-        }
-        Some(total)
+        self.handle.metrics().hybrid
     }
 
     /// Aggregated literal-prefilter counters — skipped `(flow, shard)`
@@ -758,81 +263,33 @@ impl<'a> FlowScheduler<'a> {
     /// accumulate across [`push`](FlowScheduler::push)es for the
     /// scheduler's lifetime.
     pub fn prefilter_stats(&self) -> Option<PrefilterMetrics> {
-        let pf = self.set.prefilter()?;
-        let shared = self.shared.lock().expect("scheduler lock");
-        Some(
-            shared
-                .pre_counters
-                .snapshot(self.set.shard_count(), pf.always_on_rules()),
-        )
-    }
-}
-
-/// Unwind protection for a checked-out `(flow, shard)` unit: if the
-/// owning worker panics during its unlocked scan, dropping this
-/// quarantines the broken flow — removes it from the table and purges
-/// its queued units, since its engine is lost and it could never drain
-/// — then settles `in_flight` and wakes the siblings so they can
-/// observe the drained queue and exit (letting `thread::scope` join
-/// and propagate the panic). Every *other* flow's state survives, so a
-/// caller that catches the panic out of [`FlowScheduler::run`] can
-/// keep scheduling the rest. The normal check-in path settles the
-/// count under the lock and `mem::forget`s the guard.
-struct InFlightGuard<'s, 'a> {
-    sched: &'s FlowScheduler<'a>,
-    flow: u64,
-}
-
-impl Drop for InFlightGuard<'_, '_> {
-    fn drop(&mut self) {
-        // Never panic in drop: a poisoned lock (panic while merging
-        // under the lock) is taken anyway just to fix the count.
-        let mut shared = self
-            .sched
-            .shared
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner());
-        let flow = self.flow;
-        shared.flows.remove(&flow);
-        shared.ready.retain(|&(rid, _)| rid != flow);
-        shared.in_flight -= 1;
-        self.sched.wake.notify_all();
+        self.handle.metrics().prefilter
     }
 }
 
 impl fmt::Debug for FlowScheduler<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let shared = self.shared.lock().expect("scheduler lock");
-        write!(
-            f,
-            "FlowScheduler({} flows, {} shards, {} workers, {} ready)",
-            shared.flows.len(),
-            self.set.shard_count(),
-            self.workers,
-            shared.ready.len()
-        )
+        write!(f, "FlowScheduler({:?})", self.handle)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Engine;
     use recama_hw::ShardPolicy;
 
-    fn sharded(patterns: &[&str], shards: usize) -> ShardedPatternSet {
+    fn sharded(patterns: &[&str], shards: usize) -> Engine {
         Engine::builder()
             .patterns(patterns)
             .shard_policy(ShardPolicy::Fixed(shards))
             .build()
             .unwrap()
-            .into_set()
     }
 
     /// Per-flow scheduler output must equal an independent stream fed the
     /// same chunks.
-    fn expected_stream(set: &ShardedPatternSet, chunks: &[&[u8]]) -> Vec<SetMatch> {
-        let mut stream = set.stream();
+    fn expected_stream(engine: &Engine, chunks: &[&[u8]]) -> Vec<SetMatch> {
+        let mut stream = engine.stream();
         let mut out = Vec::new();
         for chunk in chunks {
             out.extend(stream.feed(chunk));
@@ -842,11 +299,11 @@ mod tests {
 
     #[test]
     fn interleaved_flows_match_independent_streams() {
-        let set = sharded(&["ab{2,4}c", "x{3}", "q[rs]{2}t"], 3);
+        let engine = sharded(&["ab{2,4}c", "x{3}", "q[rs]{2}t"], 3);
         let flow_a: Vec<&[u8]> = vec![b"zab", b"bbc_x", b"xx"];
         let flow_b: Vec<&[u8]> = vec![b"qrst", b"", b"_abbc"];
         for workers in [1, 2, 5] {
-            let sched = FlowScheduler::new(&set, workers);
+            let sched = engine.scheduler_with(workers);
             // Interleave pushes; run mid-way and at the end.
             sched.push(1, flow_a[0]);
             sched.push(2, flow_b[0]);
@@ -856,16 +313,16 @@ mod tests {
             sched.push(2, flow_b[2]);
             sched.push(1, flow_a[2]);
             sched.run();
-            assert_eq!(sched.poll(1), expected_stream(&set, &flow_a));
-            assert_eq!(sched.poll(2), expected_stream(&set, &flow_b));
+            assert_eq!(sched.poll(1), expected_stream(&engine, &flow_a));
+            assert_eq!(sched.poll(2), expected_stream(&engine, &flow_b));
             assert_eq!(sched.pending_bytes(), 0);
         }
     }
 
     #[test]
     fn global_sink_attributes_every_match() {
-        let set = sharded(&["kk", "zz"], 2);
-        let sched = FlowScheduler::new(&set, 2);
+        let engine = sharded(&["kk", "zz"], 2);
+        let sched = engine.scheduler_with(2);
         sched.push(10, b"akka");
         sched.push(20, b"zz");
         sched.run();
@@ -896,8 +353,8 @@ mod tests {
 
     #[test]
     fn close_frees_engines_and_id_reuse_starts_fresh() {
-        let set = sharded(&["ab"], 1);
-        let sched = FlowScheduler::new(&set, 1);
+        let engine = sharded(&["ab"], 1);
+        let sched = engine.scheduler_with(1);
         sched.push(5, b"..ab");
         sched.close(5); // close with bytes still pending
         sched.run();
@@ -913,8 +370,8 @@ mod tests {
 
     #[test]
     fn close_then_reopen_before_poll_keeps_old_reports() {
-        let set = sharded(&["ab"], 1);
-        let sched = FlowScheduler::new(&set, 1);
+        let engine = sharded(&["ab"], 1);
+        let sched = engine.scheduler_with(1);
         sched.push(5, b"ab");
         sched.close(5);
         sched.run();
@@ -933,8 +390,8 @@ mod tests {
 
     #[test]
     fn finishing_resolves_dollar_anchors_at_flow_end() {
-        let set = sharded(&["ab$", "ab", "cd$"], 2);
-        let sched = FlowScheduler::new(&set, 2);
+        let engine = sharded(&["ab$", "ab", "cd$"], 2);
+        let sched = engine.scheduler_with(2);
         sched.push(1, b"ab.c");
         sched.push(1, b"d");
         sched.close(1);
@@ -950,7 +407,7 @@ mod tests {
         );
         // ...and the finishing set keeps only the $-match on the final
         // byte — exactly what the flow's own stream would finish with.
-        let mut stream = set.stream();
+        let mut stream = engine.stream();
         stream.feed(b"ab.c").count();
         stream.feed(b"d").count();
         assert_eq!(sched.finishing(1), stream.finish());
@@ -967,8 +424,8 @@ mod tests {
 
     #[test]
     fn zero_length_chunks_open_flows_but_schedule_nothing() {
-        let set = sharded(&["ab"], 1);
-        let sched = FlowScheduler::new(&set, 2);
+        let engine = sharded(&["ab"], 1);
+        let sched = engine.scheduler_with(2);
         sched.push(1, b"");
         assert_eq!(sched.flow_count(), 1);
         assert_eq!(sched.pending_bytes(), 0);
@@ -984,8 +441,8 @@ mod tests {
 
     #[test]
     fn empty_set_and_unknown_flows_are_harmless() {
-        let set = Engine::new(Vec::<String>::new()).unwrap().into_set();
-        let sched = FlowScheduler::new(&set, 2);
+        let engine = Engine::new(Vec::<String>::new()).unwrap();
+        let sched = engine.scheduler_with(2);
         sched.push(1, b"anything");
         sched.run();
         assert!(sched.poll(1).is_empty());

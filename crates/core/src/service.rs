@@ -2,13 +2,18 @@
 //! serving loop over an [`Engine`](crate::Engine) — with epoch-based
 //! hot rule reload, a generational flow table, and a metrics snapshot.
 //!
-//! [`FlowScheduler`](crate::FlowScheduler) is a *batch* API: `run()`
-//! scans what is buffered and returns when the queue drains. A serving
-//! deployment wants the opposite lifecycle — workers that stay parked
-//! on the readiness condvar between bursts, producers that are pushed
-//! back when a flow buffers faster than it scans, and flows that go
-//! quiet getting evicted instead of leaking engine state. This module
-//! provides that lifecycle as an **owned** handle:
+//! This module is the crate's one scheduling core: the readiness queue,
+//! the `(flow, shard)` checkout and check-in around an unlocked scan,
+//! the watermark-ordered report merge, `$` finishing, and prefilter
+//! skip/replay all live here. [`FlowScheduler`](crate::FlowScheduler)
+//! is a thin batch layer over a handle (raw `u64` flow ids, `run` =
+//! [`barrier`](ServiceHandle::barrier)).
+//!
+//! The serving lifecycle: workers stay parked on the readiness condvar
+//! between bursts, producers are pushed back when a flow buffers faster
+//! than it scans, and flows that go quiet are evicted instead of
+//! leaking engine state. This module provides that lifecycle as an
+//! **owned** handle:
 //!
 //! * [`Engine::serve`](crate::Engine::serve) returns a `'static`
 //!   [`ServiceHandle`] that owns its worker threads: they spawn on
@@ -41,23 +46,17 @@
 //!   literal-prefilter block (per-shard skipped units/bytes, candidate
 //!   wake-ups, always-on rule count).
 //!
-//! Report semantics are identical to the scheduler's (and therefore
-//! byte-identical to one independent
-//! [`ShardedSetStream`](crate::ShardedSetStream) per flow): the service
-//! reuses the same segment buffering, readiness queue, and
-//! watermark-ordered merge, under its own worker lifecycle. Across a
-//! reload, a migrated flow's stream is **cut at the migration
-//! boundary**: bytes before the boundary were scanned by the old
-//! engine, bytes after it by the new engine starting fresh — exactly a
-//! fresh per-flow stream over the post-boundary suffix, which
-//! `tests/service_reload.rs` pins differentially.
-//!
-//! The scope-based [`FlowService`] (from the deprecated
-//! [`Engine::service`](crate::Engine::service)) survives as a thin
-//! wrapper over the same core: it spawns its handle's workers paused
-//! and only unparks them inside [`FlowService::run`].
+//! Per-flow reports are byte-identical to one independent
+//! [`ShardedSetStream`](crate::ShardedSetStream) per flow: shard report
+//! buffers merge by `(end, pattern)` up to the flow's *watermark* (the
+//! least position any shard has consumed), so ordering never depends on
+//! which worker ran first. Across a reload, a migrated flow's stream is
+//! **cut at the migration boundary**: bytes before the boundary were
+//! scanned by the old engine, bytes after it by the new engine starting
+//! fresh — exactly a fresh per-flow stream over the post-boundary
+//! suffix, which `tests/service_reload.rs` pins differentially.
 
-use crate::engine::{CompileError, Engine, EngineBuilder, FaultPolicy, ServeConfig, ServiceConfig};
+use crate::engine::{CompileError, Engine, EngineBuilder, FaultPolicy, ServeConfig};
 use crate::prefilter::{
     ChunkAction, PerShard, PrefilterCounters, PrefilterMetrics, PrefilterState,
 };
@@ -66,7 +65,6 @@ use crate::{FlowMatch, SetMatch, ShardedPatternSet};
 use recama_nca::{HybridStats, MultiReport, ScanMode, ShardStreamState};
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::task::Poll;
@@ -250,7 +248,7 @@ pub enum ServeError {
     Overloaded,
     /// The flow id is closed, stale, or unknown.
     Closed,
-    /// The service has no consuming workers (paused or shut down).
+    /// The service has no consuming workers (shut down).
     Stopped,
 }
 
@@ -371,9 +369,9 @@ impl FaultPlan {
 
 // ---- internal state -------------------------------------------------
 
-/// A merged match as stored per flow: stable rule id for the new API,
-/// epoch-local pattern index for the deprecated pattern-indexed
-/// wrapper, absolute end.
+/// A merged match as stored per flow: stable rule id for the
+/// [`FlowId`] API, epoch-local pattern index for the pattern-indexed
+/// [`FlowScheduler`](crate::FlowScheduler), absolute end.
 #[derive(Debug, Clone, Copy)]
 struct StoredMatch {
     rule: u64,
@@ -420,9 +418,8 @@ struct EpochEngine {
     flows: usize,
 }
 
-/// One checkout-able (flow, shard) engine unit — the owned counterpart
-/// of the scheduler's `ShardSlot`, holding a detached
-/// [`ShardStreamState`] instead of a borrowed stream.
+/// One checkout-able (flow, shard) engine unit, holding a detached
+/// [`ShardStreamState`] so the engine can leave the lock for a scan.
 struct OwnedShardSlot {
     /// `None` while a worker holds the engine.
     state: Option<ShardStreamState>,
@@ -447,8 +444,8 @@ struct OwnedShardSlot {
 /// Per-flow state in the slab: buffered input, one [`OwnedShardSlot`]
 /// per shard of the flow's epoch, and the merged in-order report queue.
 struct OwnedFlow {
-    /// The raw u64 id, when the flow came in through the deprecated
-    /// u64-addressed API.
+    /// The raw u64 id, when the flow came in through the
+    /// [`FlowScheduler`](crate::FlowScheduler)'s u64 addressing.
     raw: Option<u64>,
     /// The epoch whose engines this flow's shard slots hold.
     epoch: u64,
@@ -553,8 +550,9 @@ struct MetricsAcc {
 struct ServeState {
     slots: Vec<Slot>,
     free: Vec<u32>,
-    /// Deprecated u64-addressed flows: raw id → current incarnation.
-    /// Entries always point at occupied slots (removed at slot free).
+    /// Raw u64-addressed flows (the scheduler's addressing): raw id →
+    /// current incarnation. Entries always point at occupied slots
+    /// (removed at slot free).
     raw: HashMap<u64, FlowId>,
     /// Open (not yet closed/evicted) flows — the quantity
     /// [`ServeConfig::max_flows`](crate::ServeConfig::max_flows)
@@ -573,22 +571,13 @@ struct ServeState {
     buffered_total: u64,
     /// Global sink: every merged match, attributed to its flow.
     sink: Vec<SinkEvent>,
-    /// Workers park unconditionally while set (the wrapper's
-    /// outside-`run` state): no checkouts, no sweeps.
-    paused: bool,
-    /// Set while a [`FlowService::run`] scope is live.
-    wrapper_running: bool,
     /// Workers drain and exit instead of parking.
     shutdown: bool,
     /// Set when a worker panicked mid-scan: its `(flow, shard)` engine
     /// unit is lost, so that flow can never drain — blocking producers
     /// must panic out instead of waiting forever.
     poisoned: bool,
-    /// The panicking worker's payload, so [`FlowService::run`] can
-    /// rethrow it like the scoped implementation did.
-    panic_payload: Option<Box<dyn Any + Send>>,
-    /// Human-readable summary of the first fail-stop panic payload;
-    /// survives `take_panic` (which consumes the payload itself).
+    /// Human-readable summary of the first fail-stop panic payload.
     panic_message: Option<String>,
     /// Worker restarts consumed from
     /// [`ServeConfig::restart_budget`](crate::ServeConfig::restart_budget),
@@ -600,9 +589,8 @@ struct ServeState {
     opened: u64,
     /// When the next idle sweep is due.
     next_sweep: Option<Instant>,
-    /// Evicted flows (with their raw id, if any) until drained by
-    /// [`ServiceHandle::evictions`].
-    evicted: Vec<(FlowId, Option<u64>)>,
+    /// Evicted flows until drained by [`ServiceHandle::evictions`].
+    evicted: Vec<FlowId>,
     /// Monotone counter behind `OwnedFlow::last_touch`.
     touch: u64,
     metrics: MetricsAcc,
@@ -612,7 +600,7 @@ struct ServeState {
 }
 
 impl ServeState {
-    fn new(engine: &Engine, paused: bool) -> ServeState {
+    fn new(engine: &Engine) -> ServeState {
         ServeState {
             slots: Vec::new(),
             free: Vec::new(),
@@ -629,11 +617,8 @@ impl ServeState {
             in_flight: 0,
             buffered_total: 0,
             sink: Vec::new(),
-            paused,
-            wrapper_running: false,
             shutdown: false,
             poisoned: false,
-            panic_payload: None,
             panic_message: None,
             restarts: 0,
             #[cfg(feature = "fault-inject")]
@@ -798,7 +783,7 @@ impl ServeState {
     }
 
     /// Frees the slot once the flow is finished with both report
-    /// queues drained — mirrors the scheduler forgetting such flows.
+    /// queues drained.
     /// Quarantined flows are exempt: they stay addressable (so pushes
     /// and polls keep reporting the condition) until explicitly
     /// closed.
@@ -818,15 +803,14 @@ impl ServeState {
     /// Poisons the whole service — the fail-stop path (explicit
     /// [`FaultPolicy::FailStop`], or an exhausted restart budget):
     /// every blocking call panics from now on. Records the transition
-    /// and the first panic's payload + summary.
-    fn fail_stop(&mut self, payload: Box<dyn Any + Send>) {
+    /// and the first panic's payload summary.
+    fn fail_stop(&mut self, payload: &(dyn Any + Send)) {
         if !self.poisoned {
             self.metrics.fail_stops += 1;
         }
         self.poisoned = true;
-        if self.panic_payload.is_none() {
-            self.panic_message = Some(payload_summary(payload.as_ref()));
-            self.panic_payload = Some(payload);
+        if self.panic_message.is_none() {
+            self.panic_message = Some(payload_summary(payload));
         }
     }
 
@@ -1026,7 +1010,6 @@ impl ServeState {
             }
             Some(pf) => {
                 let base = f.base;
-                let paused = self.paused;
                 // Filter verdict per shard; the filter state advances
                 // over the chunk even when the scan is skipped.
                 let actions: Vec<ChunkAction> = f
@@ -1036,40 +1019,21 @@ impl ServeState {
                     .map(|(si, slot)| pf.chunk_action(si, &mut slot.pre, chunk, chunk_start, base))
                     .collect();
                 // Each cold idle unit's engine is teleported somewhere
-                // this push decides (`None` ⇒ leave it alone):
-                //
-                // * no candidate, workers live → past the chunk (the
-                //   skip — its whole point);
-                // * no candidate, workers parked → *back* to the wake
-                //   window. A parked skip would silently consume bytes
-                //   the budget/backpressure contract says are still
-                //   buffered, so the unit is enqueued like any other —
-                //   restarted early enough that every future wake-up's
-                //   replay point lies at or after where this engine
-                //   starts, because once the unit is busy a wake cannot
-                //   teleport it (the engine may be checked out);
-                // * first candidate → back to this wake's replay point.
-                //
-                // Busy units are left alone everywhere: cold busy
-                // engines start at or before any replay point (the
-                // invariant above), so they scan the window natively.
-                // Rewinding a cold engine is always sound: it has no
-                // report ending in — and, being report-free, no match
-                // state worth more than — the region it re-scans.
+                // this push decides (`None` ⇒ leave it alone): past the
+                // chunk when it holds no candidate (the skip — its whole
+                // point), or back to the wake's replay point on the
+                // first candidate. Busy units are left alone: cold
+                // units are never queued, so a busy unit was already
+                // hot and scans the window natively. Rewinding a cold
+                // engine is always sound: it has no report ending in —
+                // and, being report-free, no match state worth more
+                // than — the region it re-scans.
                 let targets: Vec<Option<u64>> = actions
                     .iter()
-                    .enumerate()
                     .zip(&f.shards)
-                    .map(|((si, action), slot)| match action {
+                    .map(|(action, slot)| match action {
                         _ if slot.busy => None,
                         ChunkAction::Scan => None,
-                        ChunkAction::Skip if paused => Some(
-                            (chunk_start + 1)
-                                .saturating_sub(
-                                    pf.shard(si).expect("cold shards have filters").window(),
-                                )
-                                .max(base),
-                        ),
                         ChunkAction::Skip => Some(f.total),
                         ChunkAction::Wake { replay_start } => Some(*replay_start),
                     })
@@ -1351,11 +1315,11 @@ impl ServeState {
         self.try_finish(id);
     }
 
-    // ---- the deprecated raw-u64 addressing --------------------------
+    // ---- raw-u64 addressing (the FlowScheduler's) --------------------
 
     /// Resolves a raw id to the flow a push should land on: the live
     /// incarnation, a fresh reopened one if the old finished draining
-    /// (carrying its undrained reports, like the scheduler), or `None`
+    /// (carrying its undrained reports forward), or `None`
     /// while the flow is closed but not yet drained.
     fn raw_push_target(&mut self, raw: u64, cfg: &ServeConfig) -> Option<FlowId> {
         match self.raw.get(&raw).copied() {
@@ -1397,16 +1361,12 @@ impl ServeState {
     // ---- eviction ---------------------------------------------------
 
     /// Closes every open, drained flow whose last push attempt is older
-    /// than the idle timeout. Due-gated at the sweep cadence; skipped
-    /// while paused (the wrapper evicts only inside `run`). Returns
+    /// than the idle timeout. Due-gated at the sweep cadence. Returns
     /// whether any flow was evicted (the caller frees space).
     fn evict_idle(&mut self, cfg: &ServeConfig) -> bool {
         let Some(timeout) = cfg.idle_timeout else {
             return false;
         };
-        if self.paused {
-            return false;
-        }
         let now = Instant::now();
         match self.next_sweep {
             Some(due) if now < due => return false,
@@ -1432,9 +1392,8 @@ impl ServeState {
             .collect();
         let any = !expired.is_empty();
         for id in expired {
-            let raw = self.flow(id).and_then(|f| f.raw);
             self.close_flow(id);
-            self.evicted.push((id, raw));
+            self.evicted.push(id);
             self.metrics.idle_evictions += 1;
         }
         any
@@ -1462,9 +1421,8 @@ impl ServeState {
             }
         }
         let Some((_, id)) = lru else { return false };
-        let raw = self.flow(id).and_then(|f| f.raw);
         self.close_flow(id);
-        self.evicted.push((id, raw));
+        self.evicted.push(id);
         self.metrics.budget_evictions += 1;
         true
     }
@@ -1599,9 +1557,9 @@ struct ServiceCore {
     /// Parked workers wait here; signalled on push, close, reload,
     /// shutdown, and check-in.
     wake: Condvar,
-    /// Producers blocked in `push` (and `barrier`, and the wrapper's
-    /// end-of-run drain) wait here; signalled when a worker checks a
-    /// unit in (bytes were consumed — space freed) or evicts.
+    /// Producers blocked in `push` (and `barrier`) wait here; signalled
+    /// when a worker checks a unit in (bytes were consumed — space
+    /// freed) or evicts.
     space: Condvar,
     /// Deterministic fault-injection plan, from
     /// [`EngineBuilder::fault_plan`](crate::EngineBuilder::fault_plan).
@@ -1633,7 +1591,7 @@ impl ServiceCore {
 /// offending flow is quarantined and the panic rethrown into
 /// [`supervised_worker`] (which respawns the loop under the restart
 /// budget); under [`FaultPolicy::FailStop`] the service is poisoned
-/// and the loop keeps running, preserving the legacy contract.
+/// and the loop keeps running.
 fn worker_loop(core: &ServiceCore) {
     let cfg = core.config;
     let mut st = core.lock();
@@ -1644,59 +1602,56 @@ fn worker_loop(core: &ServiceCore) {
         if st.evict_idle(&cfg) {
             core.space.notify_all();
         }
-        if !st.paused {
-            if let Some(unit) = st.checkout() {
-                let (id, shard) = (unit.id, unit.shard);
-                drop(st);
-                let started = Instant::now();
-                // Panic protection: the unlocked scan runs caught, so
-                // a panic loses only the unit's engine — never the
-                // lock's consistency. What happens next is the fault
-                // policy's call: Isolate quarantines the one flow and
-                // lets the supervisor respawn this worker; FailStop
-                // poisons the whole service (blocked producers panic
-                // out of their waits instead of re-blocking on a
-                // backlog that will never clear, and the wrapper
-                // rethrows the payload out of `FlowService::run`).
+        if let Some(unit) = st.checkout() {
+            let (id, shard) = (unit.id, unit.shard);
+            drop(st);
+            let started = Instant::now();
+            // Panic protection: the unlocked scan runs caught, so
+            // a panic loses only the unit's engine — never the
+            // lock's consistency. What happens next is the fault
+            // policy's call: Isolate quarantines the one flow and
+            // lets the supervisor respawn this worker; FailStop
+            // poisons the whole service (blocked producers panic
+            // out of their waits instead of re-blocking on a
+            // backlog that will never clear).
+            #[cfg(feature = "fault-inject")]
+            let probe = (unit.seq, unit.shard, unit.scan_no);
+            let scanned = catch_unwind(AssertUnwindSafe(|| {
                 #[cfg(feature = "fault-inject")]
-                let probe = (unit.seq, unit.shard, unit.scan_no);
-                let scanned = catch_unwind(AssertUnwindSafe(|| {
-                    #[cfg(feature = "fault-inject")]
-                    core.fault_plan.trigger(probe.0, probe.1, probe.2);
-                    unit.scan()
-                }));
-                let ns = started.elapsed().as_nanos() as u64;
-                let mut relocked = core.lock();
-                match scanned {
-                    Ok((state, reports, bytes)) => {
-                        relocked.record_scan(shard, ns, bytes);
-                        relocked.check_in(id, shard, state, reports);
-                    }
-                    Err(payload) => {
-                        relocked.in_flight -= 1;
-                        match cfg.fault_policy {
-                            FaultPolicy::Isolate => {
-                                let summary = payload_summary(payload.as_ref());
-                                relocked.quarantine(id, &summary);
-                                drop(relocked);
-                                core.wake.notify_all();
-                                core.space.notify_all();
-                                // Rethrow into the supervisor, which
-                                // respawns the loop under the restart
-                                // budget (or fail-stops past it).
-                                std::panic::resume_unwind(payload);
-                            }
-                            FaultPolicy::FailStop => relocked.fail_stop(payload),
+                core.fault_plan.trigger(probe.0, probe.1, probe.2);
+                unit.scan()
+            }));
+            let ns = started.elapsed().as_nanos() as u64;
+            let mut relocked = core.lock();
+            match scanned {
+                Ok((state, reports, bytes)) => {
+                    relocked.record_scan(shard, ns, bytes);
+                    relocked.check_in(id, shard, state, reports);
+                }
+                Err(payload) => {
+                    relocked.in_flight -= 1;
+                    match cfg.fault_policy {
+                        FaultPolicy::Isolate => {
+                            let summary = payload_summary(payload.as_ref());
+                            relocked.quarantine(id, &summary);
+                            drop(relocked);
+                            core.wake.notify_all();
+                            core.space.notify_all();
+                            // Rethrow into the supervisor, which
+                            // respawns the loop under the restart
+                            // budget (or fail-stops past it).
+                            std::panic::resume_unwind(payload);
                         }
+                        FaultPolicy::FailStop => relocked.fail_stop(payload.as_ref()),
                     }
                 }
-                core.wake.notify_all();
-                core.space.notify_all();
-                st = relocked;
-                continue;
             }
+            core.wake.notify_all();
+            core.space.notify_all();
+            st = relocked;
+            continue;
         }
-        if st.shutdown && st.in_flight == 0 && (st.paused || st.ready.is_empty()) {
+        if st.shutdown && st.in_flight == 0 && st.ready.is_empty() {
             return;
         }
         st = match cfg.idle_timeout {
@@ -1742,7 +1697,7 @@ fn supervised_worker(core: &ServiceCore) {
                 || st.restarts >= cfg.restart_budget
                 || st.shutdown
             {
-                st.fail_stop(payload);
+                st.fail_stop(payload.as_ref());
                 drop(st);
                 core.wake.notify_all();
                 core.space.notify_all();
@@ -1804,25 +1759,10 @@ pub struct ServiceHandle {
 
 impl ServiceHandle {
     pub(crate) fn spawn(engine: &Engine, workers: usize, config: ServeConfig) -> ServiceHandle {
-        ServiceHandle::spawn_inner(engine, workers, config, false)
-    }
-
-    /// Spawns with the workers paused — the wrapper's outside-`run`
-    /// state: pushes buffer, nothing consumes.
-    fn spawn_paused(engine: &Engine, workers: usize, config: ServeConfig) -> ServiceHandle {
-        ServiceHandle::spawn_inner(engine, workers, config, true)
-    }
-
-    fn spawn_inner(
-        engine: &Engine,
-        workers: usize,
-        config: ServeConfig,
-        paused: bool,
-    ) -> ServiceHandle {
         let workers = workers.max(1);
         let core = Arc::new(ServiceCore {
             config,
-            state: Mutex::new(ServeState::new(engine, paused)),
+            state: Mutex::new(ServeState::new(engine)),
             wake: Condvar::new(),
             space: Condvar::new(),
             #[cfg(feature = "fault-inject")]
@@ -1915,12 +1855,6 @@ impl ServiceHandle {
         for thread in self.threads.drain(..) {
             let _ = thread.join();
         }
-    }
-
-    /// The panicking worker's payload, if any — taken once. Used by
-    /// the wrapper to rethrow out of [`FlowService::run`].
-    fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
-        self.core.lock().panic_payload.take()
     }
 
     // ---- hot reload -------------------------------------------------
@@ -2115,7 +2049,7 @@ impl ServiceHandle {
                  FlowIds are never reopened — open a new flow with open_flow()"
             );
             assert!(
-                !st.paused && !st.shutdown,
+                !st.shutdown,
                 "ServiceHandle::push would block forever with no workers consuming"
             );
             st = self.core.wait_space(st);
@@ -2150,7 +2084,7 @@ impl ServiceHandle {
             if st.flow(flow).is_none_or(|f| f.closed) {
                 return Err(ServeError::Closed);
             }
-            if st.paused || st.shutdown {
+            if st.shutdown {
                 return Err(ServeError::Stopped);
             }
             st = self.core.wait_space(st);
@@ -2176,7 +2110,7 @@ impl ServiceHandle {
     /// # Panics
     ///
     /// Panics if the service is poisoned, or if it has no consuming
-    /// workers (paused or shut down) while work is pending.
+    /// workers (shut down) while work is pending.
     pub fn barrier(&self) {
         let mut st = self.core.lock();
         while st.buffered_total > 0 || st.in_flight > 0 {
@@ -2188,7 +2122,7 @@ impl ServiceHandle {
                 );
             }
             assert!(
-                !st.paused && !st.shutdown,
+                !st.shutdown,
                 "ServiceHandle::barrier would block forever with no workers consuming"
             );
             st = self.core.wait_space(st);
@@ -2281,9 +2215,6 @@ impl ServiceHandle {
     /// explicitly [`close`](ServiceHandle::close)d ones.
     pub fn evictions(&self) -> Vec<FlowId> {
         std::mem::take(&mut self.core.lock().evicted)
-            .into_iter()
-            .map(|(id, _)| id)
-            .collect()
     }
 
     // ---- observability ----------------------------------------------
@@ -2339,36 +2270,39 @@ impl ServiceHandle {
         self.core.lock().flow(flow).is_some()
     }
 
-    // ---- deprecated raw-u64 addressing ------------------------------
+    // ---- raw-u64 addressing (the FlowScheduler's) --------------------
 
-    /// Like [`try_push`](ServiceHandle::try_push), addressing flows by
-    /// caller-chosen `u64` ids with the scheduler's reopen semantics
-    /// (pushing a finished id starts a fresh incarnation carrying
-    /// undrained reports).
-    #[deprecated(note = "address flows with the generational FlowId from open_flow")]
-    pub fn try_push_raw(&self, flow: u64, chunk: &[u8]) -> Poll<u64> {
+    /// Buffers `chunk` for the raw-addressed `flow`, opening it on first
+    /// use (or reopening it once its previous incarnation finished) and
+    /// blocking while the byte budgets are exceeded. Returns `None`,
+    /// buffering nothing, while the flow is closed but not yet drained.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the service is poisoned.
+    pub(crate) fn push_raw(&self, flow: u64, chunk: &[u8]) -> Option<u64> {
+        let cfg = &self.core.config;
         let mut st = self.core.lock();
-        if st.poisoned {
-            panic!(
-                "ServiceHandle is poisoned: a worker panicked mid-scan ({}), \
-                 so pending flows can never drain",
-                st.panic_summary()
-            );
+        loop {
+            let id = st.raw_push_target(flow, cfg)?;
+            if let Poll::Ready(total) = st.try_push_at(id, chunk, cfg) {
+                drop(st);
+                self.core.wake.notify_all();
+                return Some(total);
+            }
+            if st.poisoned {
+                panic!(
+                    "service is poisoned: a worker panicked mid-scan ({}), \
+                     so flow {flow} can never drain",
+                    st.panic_summary()
+                );
+            }
+            st = self.core.wait_space(st);
         }
-        let result = match st.raw_push_target(flow, &self.core.config) {
-            Some(id) => st.try_push_at(id, chunk, &self.core.config),
-            None => Poll::Pending, // closed, not yet drained
-        };
-        drop(st);
-        if result.is_ready() {
-            self.core.wake.notify_all();
-        }
-        result
     }
 
     /// Like [`close`](ServiceHandle::close) for a raw `u64` id.
-    #[deprecated(note = "address flows with the generational FlowId from open_flow")]
-    pub fn close_raw(&self, flow: u64) {
+    pub(crate) fn close_raw(&self, flow: u64) {
         let mut st = self.core.lock();
         if let Some(id) = st.raw_lookup(flow) {
             st.close_flow(id);
@@ -2377,10 +2311,23 @@ impl ServiceHandle {
         self.core.wake.notify_all();
     }
 
-    /// Like [`poll`](ServiceHandle::poll) for a raw `u64` id, in the
-    /// legacy pattern-indexed [`SetMatch`] form.
-    #[deprecated(note = "address flows with the generational FlowId from open_flow")]
-    pub fn poll_raw(&self, flow: u64) -> Vec<SetMatch> {
+    /// Drains the report queue of a raw `u64` id in pattern-indexed
+    /// [`SetMatch`] form.
+    pub(crate) fn poll_raw(&self, flow: u64) -> Vec<SetMatch> {
+        self.drain_raw(flow, |f| f.reports.drain(..).collect())
+    }
+
+    /// Drains the finishing set of a raw `u64` id in pattern-indexed
+    /// [`SetMatch`] form.
+    pub(crate) fn finishing_raw(&self, flow: u64) -> Vec<SetMatch> {
+        self.drain_raw(flow, |f| std::mem::take(&mut f.finishing))
+    }
+
+    fn drain_raw(
+        &self,
+        flow: u64,
+        take: impl FnOnce(&mut OwnedFlow) -> Vec<StoredMatch>,
+    ) -> Vec<SetMatch> {
         let mut st = self.core.lock();
         let Some(id) = st.raw_lookup(flow) else {
             return Vec::new();
@@ -2388,28 +2335,33 @@ impl ServiceHandle {
         let Some(f) = st.flow_mut(id) else {
             return Vec::new();
         };
-        let out = f.reports.drain(..).map(StoredMatch::set_match).collect();
+        let out = take(f).into_iter().map(StoredMatch::set_match).collect();
         st.free_if_drained(id);
         out
     }
 
-    /// Like [`finishing`](ServiceHandle::finishing) for a raw `u64` id,
-    /// in the legacy pattern-indexed [`SetMatch`] form.
-    #[deprecated(note = "address flows with the generational FlowId from open_flow")]
-    pub fn finishing_raw(&self, flow: u64) -> Vec<SetMatch> {
-        let mut st = self.core.lock();
-        let Some(id) = st.raw_lookup(flow) else {
-            return Vec::new();
-        };
-        let Some(f) = st.flow_mut(id) else {
-            return Vec::new();
-        };
-        let out = std::mem::take(&mut f.finishing)
-            .into_iter()
-            .map(StoredMatch::set_match)
-            .collect();
-        st.free_if_drained(id);
-        out
+    /// Drains the global sink in raw-addressed, pattern-indexed
+    /// [`FlowMatch`] form (same ordering contract as
+    /// [`drain_global`](ServiceHandle::drain_global)).
+    pub(crate) fn drain_global_raw(&self) -> Vec<FlowMatch> {
+        self.core
+            .lock()
+            .sink
+            .drain(..)
+            .map(|ev| FlowMatch {
+                flow: ev.raw.expect("raw-driven services only hold raw flows"),
+                pattern: ev.pattern as usize,
+                end: ev.end as usize,
+            })
+            .collect()
+    }
+
+    /// Bytes pushed to the raw-addressed `flow`'s current incarnation
+    /// (`None` for unknown ids).
+    pub(crate) fn flow_len_raw(&self, flow: u64) -> Option<u64> {
+        let st = self.core.lock();
+        let id = st.raw_lookup(flow)?;
+        st.flow(id).map(|f| f.total)
     }
 }
 
@@ -2434,324 +2386,48 @@ impl std::fmt::Debug for ServiceHandle {
     }
 }
 
-// ---- the deprecated scope-based wrapper -----------------------------
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// A scope-based many-flow scanning service; create one with the
-/// deprecated [`Engine::service`](crate::Engine::service) and drive it
-/// inside [`run`](FlowService::run).
-///
-/// Since the introduction of the owned [`ServiceHandle`]
-/// ([`Engine::serve`](crate::Engine::serve)) this is a thin wrapper
-/// over the same core: the handle spawns with its workers **paused**,
-/// and [`run`](FlowService::run) unparks them for the closure's
-/// duration — preserving the original semantics (pushes outside `run`
-/// buffer without being consumed; state persists across runs).
-///
-/// ```
-/// # #![allow(deprecated)]
-/// use recama::Engine;
-/// use std::task::Poll;
-///
-/// let engine = Engine::builder()
-///     .patterns(["ab{2}c", "xyz"])
-///     .workers(2)
-///     .build()
-///     .unwrap();
-///
-/// let hits = engine.service().run(|svc| {
-///     svc.push(7, b"..ab"); // blocking push (waits if over budget)
-///     svc.push(7, b"bc!");  // match straddles the chunks
-///     assert!(matches!(svc.try_push(9, b"xyz"), Poll::Ready(3)));
-///     svc.barrier();        // every pushed byte scanned
-///     (svc.poll(7), svc.poll(9))
-/// });
-/// assert_eq!(hits.0[0].end, 6);
-/// assert_eq!(hits.1[0].end, 3);
-/// ```
-#[deprecated(note = "use Engine::serve — the owned ServiceHandle needs no enclosing scope")]
-pub struct FlowService<'a> {
-    handle: ServiceHandle,
-    config: ServiceConfig,
-    /// The wrapper still presents the historical borrowed-from-engine
-    /// shape, though the core owns everything.
-    _scope: PhantomData<&'a Engine>,
-}
-
-#[allow(deprecated)]
-impl<'a> FlowService<'a> {
-    pub(crate) fn new(
-        engine: &'a Engine,
-        workers: usize,
-        config: ServiceConfig,
-    ) -> FlowService<'a> {
-        // The wrapper's contract predates per-flow quarantine: a
-        // worker panic poisons the service and `run()` rethrows the
-        // payload. Pin the legacy fail-stop policy regardless of the
-        // default.
-        let mut serve = ServeConfig::from(config);
-        serve.fault_policy = FaultPolicy::FailStop;
-        FlowService {
-            handle: ServiceHandle::spawn_paused(engine, workers, serve),
-            config,
-            _scope: PhantomData,
-        }
-    }
-
-    /// The worker-pool size [`run`](FlowService::run) activates.
-    pub fn workers(&self) -> usize {
-        self.handle.workers()
-    }
-
-    /// The backpressure/eviction configuration.
-    pub fn config(&self) -> ServiceConfig {
-        self.config
-    }
-
-    // ---- the serving scope ------------------------------------------
-
-    /// Serves flows for the duration of `producer`: unparks the worker
-    /// pool, runs the closure with the service handle, then pauses the
-    /// workers once it returns — after they have drained every buffered
-    /// byte. Returns the closure's value.
-    ///
-    /// The service handle is `Sync`, so the closure may fan pushes out
-    /// to its own scoped producer threads. `run` is not reentrant, but
-    /// the service can be run again after it returns (flow state,
-    /// undrained reports, and evictions persist across runs).
-    pub fn run<R>(&self, producer: impl FnOnce(&Self) -> R) -> R {
-        let core = &self.handle.core;
-        {
-            let mut st = core.lock();
-            assert!(!st.wrapper_running, "FlowService::run is not reentrant");
-            assert!(
-                !st.poisoned,
-                "FlowService is poisoned: a worker panicked mid-scan and its engine unit is lost"
-            );
-            st.wrapper_running = true;
-            st.paused = false;
-        }
-        core.wake.notify_all();
-        // Pause again (after the drain) even if the producer panics, so
-        // the unwound service is observably not-running.
-        let guard = RunGuard { core };
-        let result = producer(self);
-        drop(guard);
-        // A worker panic poisons the service; rethrow it here like the
-        // scoped implementation's thread::scope join did.
-        if let Some(payload) = self.handle.take_panic() {
-            std::panic::resume_unwind(payload);
-        }
-        result
-    }
-
-    // ---- producing --------------------------------------------------
-
-    /// Attempts to buffer `chunk` for `flow`, opening the flow on first
-    /// use. Returns `Poll::Ready(total)` — the flow's new byte length —
-    /// on acceptance, or [`Poll::Pending`] when accepting the chunk
-    /// would push the flow's buffered bytes past the configured
-    /// [`flow_budget`](crate::ServiceConfig::flow_budget) (or when the
-    /// flow is closed/evicted and not yet drained; once drained, the
-    /// next push reopens it fresh). On `Pending`, retry after the
-    /// workers have consumed — or use the blocking
-    /// [`push`](FlowService::push).
-    ///
-    /// A chunk is always accepted when the flow buffers nothing, so a
-    /// chunk larger than the whole budget still makes progress.
-    pub fn try_push(&self, flow: u64, chunk: &[u8]) -> Poll<u64> {
-        let core = &self.handle.core;
-        let mut st = core.lock();
-        if st.poisoned {
-            panic!(
-                "FlowService is poisoned: a worker panicked mid-scan ({}), \
-                 so pending flows can never drain",
-                st.panic_summary()
-            );
-        }
-        let result = match st.raw_push_target(flow, &core.config) {
-            Some(id) => st.try_push_at(id, chunk, &core.config),
-            None => Poll::Pending, // closed, not yet drained
+    /// The admission rule, driven on a bare [`ServeState`] with no
+    /// workers, so nothing consumes and the budget math is exact. The
+    /// prefilter is off: it would skip the literal-free chunks, and
+    /// skipped bytes are consumed, not buffered.
+    #[test]
+    fn try_push_at_applies_the_flow_budget_without_workers() {
+        let engine = Engine::builder()
+            .pattern("ab")
+            .prefilter(crate::PrefilterMode::Off)
+            .build()
+            .unwrap();
+        let cfg = ServeConfig {
+            flow_budget: 8,
+            ..ServeConfig::default()
         };
-        drop(st);
-        if result.is_ready() {
-            core.wake.notify_all();
-        }
-        result
-    }
-
-    /// Buffers `chunk` for `flow`, blocking while the flow is over its
-    /// input budget until the workers free space. Returns the flow's
-    /// new byte length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if it would block with no workers running (outside
-    /// [`run`](FlowService::run)) — nothing would ever free the space.
-    pub fn push(&self, flow: u64, chunk: &[u8]) -> u64 {
-        let core = &self.handle.core;
-        let mut st = core.lock();
-        loop {
-            let attempt = match st.raw_push_target(flow, &core.config) {
-                Some(id) => st.try_push_at(id, chunk, &core.config),
-                None => Poll::Pending,
-            };
-            if let Poll::Ready(total) = attempt {
-                drop(st);
-                core.wake.notify_all();
-                return total;
-            }
-            if st.poisoned {
-                panic!(
-                    "FlowService is poisoned: a worker panicked mid-scan ({}), \
-                     so this flow can never drain",
-                    st.panic_summary()
-                );
-            }
-            assert!(
-                st.wrapper_running && !st.paused,
-                "FlowService::push would block forever with no workers running: \
-                 drive the service inside FlowService::run()"
-            );
-            st = core.wait_space(st);
-        }
-    }
-
-    /// Marks `flow` closed: buffered bytes are still scanned, after
-    /// which the flow's engines are freed and its `$`-anchored
-    /// [`finishing`](FlowService::finishing) set resolves. Reports stay
-    /// pollable; pushing the id again after it drains reopens it fresh.
-    /// Closing an unknown id is a no-op.
-    pub fn close(&self, flow: u64) {
-        let core = &self.handle.core;
-        let mut st = core.lock();
-        if let Some(id) = st.raw_lookup(flow) {
-            st.close_flow(id);
-        }
-        drop(st);
-        core.wake.notify_all();
-    }
-
-    /// Blocks until every pushed byte has been consumed by every shard
-    /// — a producer-side flush point before polling for a batch of
-    /// results. (Without it, `poll` simply returns whatever is merged
-    /// so far.)
-    ///
-    /// # Panics
-    ///
-    /// Panics if called with work pending and no workers running.
-    pub fn barrier(&self) {
-        let core = &self.handle.core;
-        let mut st = core.lock();
-        while st.buffered_total > 0 || st.in_flight > 0 {
-            if st.poisoned {
-                panic!(
-                    "FlowService is poisoned: a worker panicked mid-scan ({}), \
-                     so the backlog can never drain",
-                    st.panic_summary()
-                );
-            }
-            assert!(
-                st.wrapper_running && !st.paused,
-                "FlowService::barrier would block forever with no workers running: \
-                 drive the service inside FlowService::run()"
-            );
-            st = core.wait_space(st);
-        }
-    }
-
-    // ---- consuming --------------------------------------------------
-
-    /// Drains `flow`'s ordered report queue (stream order: ascending
-    /// end, ascending rule within an end) — whatever has been merged so
-    /// far; see [`barrier`](FlowService::barrier) for a flush point.
-    pub fn poll(&self, flow: u64) -> Vec<SetMatch> {
-        self.handle.poll_raw(flow)
-    }
-
-    /// Drains `flow`'s finishing set: the `$`-anchored matches ending
-    /// exactly at the flow's final byte, resolved when the closed (or
-    /// evicted) flow finished draining.
-    pub fn finishing(&self, flow: u64) -> Vec<SetMatch> {
-        self.handle.finishing_raw(flow)
-    }
-
-    /// Drains the global sink: every merged match of every flow, in
-    /// merge order (see
-    /// [`ServiceHandle::drain_global`] for the ordering contract).
-    pub fn drain_global(&self) -> Vec<FlowMatch> {
-        self.handle
-            .core
-            .lock()
-            .sink
-            .drain(..)
-            .map(|ev| FlowMatch {
-                flow: ev.raw.unwrap_or(ev.flow.index as u64),
-                pattern: ev.pattern as usize,
-                end: ev.end as usize,
-            })
-            .collect()
-    }
-
-    /// Drains the ids of flows the idle sweep has evicted since the
-    /// last call. Evicted flows behave exactly like explicitly
-    /// [`close`](FlowService::close)d ones.
-    pub fn evictions(&self) -> Vec<u64> {
-        std::mem::take(&mut self.handle.core.lock().evicted)
-            .into_iter()
-            .map(|(id, raw)| raw.unwrap_or(id.index as u64))
-            .collect()
-    }
-
-    /// Number of flows currently tracked (open, or closed with
-    /// undrained reports).
-    pub fn flow_count(&self) -> usize {
-        self.handle.flow_count()
-    }
-
-    /// Bytes pushed to `flow` so far (`None` for unknown flows).
-    pub fn flow_len(&self, flow: u64) -> Option<u64> {
-        let st = self.handle.core.lock();
-        let id = st.raw_lookup(flow)?;
-        st.flow(id).map(|f| f.total)
-    }
-
-    /// Total bytes buffered but not yet consumed by every shard.
-    pub fn pending_bytes(&self) -> u64 {
-        self.handle.pending_bytes()
-    }
-}
-
-#[allow(deprecated)]
-impl std::fmt::Debug for FlowService<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.handle.core.lock();
-        write!(
-            f,
-            "FlowService({} flows, {} shards, {} workers, running = {}, budget = {} B)",
-            st.occupied(),
-            st.current().set.shard_count(),
-            self.handle.workers,
-            st.wrapper_running,
-            self.config.flow_budget
-        )
-    }
-}
-
-/// Pauses the workers again when the producer closure ends (normally
-/// or by panic) — after waiting for the buffered work to drain, so a
-/// completed `run` leaves nothing half-scanned (the behavior of the
-/// old scoped join).
-struct RunGuard<'s> {
-    core: &'s ServiceCore,
-}
-
-impl Drop for RunGuard<'_> {
-    fn drop(&mut self) {
-        let mut st = self.core.lock();
-        while !st.poisoned && (st.in_flight > 0 || !st.ready.is_empty()) {
-            st = self.core.wait_space(st);
-        }
-        st.paused = true;
-        st.wrapper_running = false;
+        let mut st = ServeState::new(&engine);
+        let one = st.raw_push_target(1, &cfg).expect("fresh flows open");
+        // First chunk: empty buffer, always accepted.
+        assert_eq!(st.try_push_at(one, b"123456", &cfg), Poll::Ready(6));
+        // 6 buffered + 6 > 8: pushed back.
+        assert_eq!(st.try_push_at(one, b"abcdef", &cfg), Poll::Pending);
+        // A small chunk still fits under the budget.
+        assert_eq!(st.try_push_at(one, b"78", &cfg), Poll::Ready(8));
+        // Exactly at budget: the next byte is pushed back.
+        assert_eq!(st.try_push_at(one, b"9", &cfg), Poll::Pending);
+        // An empty chunk buffers nothing: accepted even at budget.
+        assert_eq!(st.try_push_at(one, b"", &cfg), Poll::Ready(8));
+        assert_eq!(st.raw_push_target(1, &cfg), Some(one), "same incarnation");
+        // Another flow has its own budget.
+        let two = st.raw_push_target(2, &cfg).expect("fresh flows open");
+        assert_ne!(two, one);
+        assert_eq!(st.try_push_at(two, b"ab", &cfg), Poll::Ready(2));
+        assert_eq!(st.buffered_total, 10);
+        assert_eq!(st.metrics.backpressure, 2);
+        // Closed and not yet drained: pushes are rejected.
+        st.close_flow(one);
+        assert_eq!(st.raw_push_target(1, &cfg), None);
+        assert_eq!(st.try_push_at(one, b"cd", &cfg), Poll::Pending);
+        assert_eq!(st.flow(one).map(|f| f.total), Some(8));
     }
 }

@@ -32,7 +32,7 @@ use recama_nca::{
     CompilePlan, MultiNca, MultiReport, Nca, ScanMode, ShardStream, ShardedMulti, StateId,
     TokenSetEngine,
 };
-use recama_syntax::{ParseError, Parsed};
+use recama_syntax::Parsed;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
@@ -69,35 +69,23 @@ impl SetSpan {
     }
 }
 
-/// The old name of the ruleset compile failure type. [`CompileError`]
-/// additionally carries the failing rule's source text and the pipeline
-/// phase; the `index` and `error` fields this name always had are still
-/// there.
-#[deprecated(
-    since = "0.2.0",
-    note = "use recama::CompileError (from Engine::builder)"
-)]
-pub type SetCompileError = CompileError;
-
 /// A compiled ruleset partitioned into bank-sized shards: one merged
 /// extended-MNRL network and one shared software automaton **per shard**,
 /// with a single byte-class alphabet shared by every shard.
 ///
-/// Mirrors [`PatternSet`]'s API at set granularity — [`compile_many`] /
-/// [`find_ends`] / [`find_spans`] / [`stream`] / [`hardware`] — and its
-/// report semantics exactly: for any shard plan (including the trivial
-/// one), [`find_ends`] returns the same reports in the same order as the
+/// Mirrors [`PatternSet`]'s API at set granularity — [`find_ends`] /
+/// [`find_spans`] / [`stream`] / [`hardware`] — and its report
+/// semantics exactly: for any shard plan (including the trivial one),
+/// [`find_ends`] returns the same reports in the same order as the
 /// unsharded [`PatternSet::find_ends`].
 ///
-/// [`compile_many`]: ShardedPatternSet::compile_many
 /// [`find_ends`]: ShardedPatternSet::find_ends
 /// [`find_spans`]: ShardedPatternSet::find_spans
 /// [`stream`]: ShardedPatternSet::stream
 /// [`hardware`]: ShardedPatternSet::hardware
 ///
-/// New code should reach this type through
-/// [`Engine::builder`](crate::Engine::builder) (every compile knob lives
-/// there); the `compile_*` constructors here are deprecated wrappers.
+/// Build one with [`Engine::builder`](crate::Engine::builder) (every
+/// compile knob lives there) and [`Engine::into_set`].
 ///
 /// # Examples
 ///
@@ -145,73 +133,6 @@ pub struct ShardedPatternSet {
 }
 
 impl ShardedPatternSet {
-    /// Compiles all `patterns` with default options under the default
-    /// policy (one CAMA bank per shard).
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first pattern that does not parse (or is outside the
-    /// supported fragment), identifying its index. Use
-    /// [`ShardedPatternSet::compile_filtered`] to skip bad patterns.
-    #[deprecated(since = "0.2.0", note = "use Engine::builder().patterns(..).build()")]
-    pub fn compile_many<S: AsRef<str>>(patterns: &[S]) -> Result<ShardedPatternSet, CompileError> {
-        Engine::builder()
-            .patterns(patterns)
-            .build()
-            .map(Engine::into_set)
-    }
-
-    /// Compiles all `patterns` with explicit [`CompileOptions`] and
-    /// [`ShardPolicy`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedPatternSet::compile_many`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Engine::builder().patterns(..).options(..).shard_policy(..).build()"
-    )]
-    pub fn compile_many_with<S: AsRef<str>>(
-        patterns: &[S],
-        options: &CompileOptions,
-        policy: ShardPolicy,
-    ) -> Result<ShardedPatternSet, CompileError> {
-        Engine::builder()
-            .patterns(patterns)
-            .options(*options)
-            .shard_policy(policy)
-            .build()
-            .map(Engine::into_set)
-    }
-
-    /// Compiles the parseable subset of `patterns`, returning the set and
-    /// the rejected `(index, error)` pairs — the tolerant entry point for
-    /// real rulesets, which always contain out-of-fragment rules
-    /// (Table 1's unsupported rows).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Engine::builder().lossy(true) and Engine::skipped()"
-    )]
-    pub fn compile_filtered<S: AsRef<str>>(
-        patterns: &[S],
-        options: &CompileOptions,
-        policy: ShardPolicy,
-    ) -> (ShardedPatternSet, Vec<(usize, ParseError)>) {
-        let engine = Engine::builder()
-            .patterns(patterns)
-            .options(*options)
-            .shard_policy(policy)
-            .lossy(true)
-            .build()
-            .expect("lossy builds are infallible");
-        let rejected = engine
-            .skipped()
-            .iter()
-            .map(|s| (s.index, s.error.clone()))
-            .collect();
-        (engine.into_set(), rejected)
-    }
-
     pub(crate) fn build(
         accepted: Vec<(String, Parsed)>,
         options: &CompileOptions,
@@ -803,26 +724,30 @@ impl fmt::Debug for ShardedSetStream<'_> {
 /// software engine for the entire set — the single-shard (`N = 1`) case
 /// of [`ShardedPatternSet`], which it wraps.
 ///
-/// Mirrors [`Pattern`]'s API at set granularity: [`compile_many`] /
-/// [`find_ends`] / [`stream`] / [`network`] / [`hardware`].
+/// Mirrors [`Pattern`]'s API at set granularity: [`find_ends`] /
+/// [`stream`] / [`network`] / [`hardware`].
 ///
-/// [`compile_many`]: PatternSet::compile_many
 /// [`find_ends`]: PatternSet::find_ends
 /// [`stream`]: PatternSet::stream
 /// [`network`]: PatternSet::network
 /// [`hardware`]: PatternSet::hardware
 ///
-/// New code should use [`Engine::builder`](crate::Engine::builder) with
-/// [`ShardPolicy::Single`](recama_hw::ShardPolicy::Single); the
-/// `compile_*` constructors here are deprecated wrappers.
+/// Build one with [`Engine::builder`](crate::Engine::builder) and
+/// [`ShardPolicy::Single`](recama_hw::ShardPolicy::Single), then convert
+/// the single-shard engine with `PatternSet::try_from`.
 ///
 /// # Examples
 ///
 /// ```
-/// # #![allow(deprecated)]
-/// use recama::PatternSet;
+/// use recama::hw::ShardPolicy;
+/// use recama::{Engine, PatternSet};
 ///
-/// let set = PatternSet::compile_many(&["ab{2,3}c", "xyz", "k\\d{4}"]).unwrap();
+/// let engine = Engine::builder()
+///     .patterns(["ab{2,3}c", "xyz", "k\\d{4}"])
+///     .shard_policy(ShardPolicy::Single)
+///     .build()
+///     .unwrap();
+/// let set = PatternSet::try_from(engine).unwrap();
 /// let matches = set.find_ends(b"zabbc..xyz..k1234");
 /// let hits: Vec<(usize, usize)> = matches.iter().map(|m| (m.pattern, m.end)).collect();
 /// assert_eq!(hits, vec![(0, 5), (1, 10), (2, 17)]);
@@ -834,83 +759,29 @@ pub struct PatternSet {
     inner: ShardedPatternSet,
 }
 
-impl PatternSet {
-    /// Compiles all `patterns` with default options.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first pattern that does not parse (or is outside the
-    /// supported fragment), identifying its index. Use
-    /// [`PatternSet::compile_filtered`] to skip bad patterns instead.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Engine::builder().patterns(..).shard_policy(ShardPolicy::Single).build()"
-    )]
-    pub fn compile_many<S: AsRef<str>>(patterns: &[S]) -> Result<PatternSet, CompileError> {
-        Engine::builder()
-            .patterns(patterns)
-            .shard_policy(ShardPolicy::Single)
-            .build()
-            .map(|e| PatternSet {
-                inner: e.into_set(),
-            })
-    }
+/// A single-shard [`Engine`] is exactly a [`PatternSet`]; an engine
+/// whose plan has more than one shard is handed back unchanged.
+///
+/// # Panics
+///
+/// Panics like [`Engine::into_set`] if an owned
+/// [`ServiceHandle`](crate::ServiceHandle) still serves the engine's
+/// set.
+impl TryFrom<Engine> for PatternSet {
+    type Error = Engine;
 
-    /// Compiles all `patterns` with explicit [`CompileOptions`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PatternSet::compile_many`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Engine::builder().patterns(..).options(..).shard_policy(ShardPolicy::Single).build()"
-    )]
-    pub fn compile_many_with<S: AsRef<str>>(
-        patterns: &[S],
-        options: &CompileOptions,
-    ) -> Result<PatternSet, CompileError> {
-        Engine::builder()
-            .patterns(patterns)
-            .options(*options)
-            .shard_policy(ShardPolicy::Single)
-            .build()
-            .map(|e| PatternSet {
-                inner: e.into_set(),
-            })
-    }
-
-    /// Compiles the parseable subset of `patterns`, returning the set and
-    /// the rejected `(index, error)` pairs — the tolerant entry point for
-    /// real rulesets, which always contain out-of-fragment rules
-    /// (Table 1's unsupported rows).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Engine::builder().lossy(true) and Engine::skipped()"
-    )]
-    pub fn compile_filtered<S: AsRef<str>>(
-        patterns: &[S],
-        options: &CompileOptions,
-    ) -> (PatternSet, Vec<(usize, ParseError)>) {
-        let engine = Engine::builder()
-            .patterns(patterns)
-            .options(*options)
-            .shard_policy(ShardPolicy::Single)
-            .lossy(true)
-            .build()
-            .expect("lossy builds are infallible");
-        let rejected = engine
-            .skipped()
-            .iter()
-            .map(|s| (s.index, s.error.clone()))
-            .collect();
-        (
-            PatternSet {
+    fn try_from(engine: Engine) -> Result<PatternSet, Engine> {
+        if engine.shard_count() == 1 {
+            Ok(PatternSet {
                 inner: engine.into_set(),
-            },
-            rejected,
-        )
+            })
+        } else {
+            Err(engine)
+        }
     }
+}
 
+impl PatternSet {
     /// Number of compiled patterns.
     pub fn len(&self) -> usize {
         self.inner.len()
@@ -971,10 +842,15 @@ impl PatternSet {
     /// # Examples
     ///
     /// ```
-    /// # #![allow(deprecated)]
-    /// use recama::{PatternSet, SetSpan};
+    /// use recama::hw::ShardPolicy;
+    /// use recama::{Engine, PatternSet, SetSpan};
     ///
-    /// let set = PatternSet::compile_many(&["ab{2,3}c", "xyz"]).unwrap();
+    /// let engine = Engine::builder()
+    ///     .patterns(["ab{2,3}c", "xyz"])
+    ///     .shard_policy(ShardPolicy::Single)
+    ///     .build()
+    ///     .unwrap();
+    /// let set = PatternSet::try_from(engine).unwrap();
     /// let spans = set.find_spans(b"zzabbc.xyz");
     /// assert_eq!(
     ///     spans,
@@ -997,10 +873,15 @@ impl PatternSet {
     /// # Examples
     ///
     /// ```
-    /// # #![allow(deprecated)]
-    /// use recama::PatternSet;
+    /// use recama::hw::ShardPolicy;
+    /// use recama::{Engine, PatternSet};
     ///
-    /// let set = PatternSet::compile_many(&["ab{2}c"]).unwrap();
+    /// let engine = Engine::builder()
+    ///     .pattern("ab{2}c")
+    ///     .shard_policy(ShardPolicy::Single)
+    ///     .build()
+    ///     .unwrap();
+    /// let set = PatternSet::try_from(engine).unwrap();
     /// let mut stream = set.stream();
     /// // The match straddles the chunk boundary.
     /// assert!(stream.feed(b"..ab").next().is_none());
@@ -1117,7 +998,8 @@ impl PatternSet {
     ///
     /// # Errors
     ///
-    /// Fails like [`PatternSet::compile_many`] on the first bad pattern.
+    /// Fails on the first pattern that does not parse (or is outside
+    /// the supported fragment), identifying its index.
     pub fn compile_baseline<S: AsRef<str>>(patterns: &[S]) -> Result<Vec<Pattern>, CompileError> {
         patterns
             .iter()
@@ -1134,18 +1016,33 @@ impl PatternSet {
     }
 }
 
-// The deprecated wrappers stay covered on purpose: their contract is
-// byte-identical delegation to the builder.
-#[allow(deprecated)]
 #[cfg(test)]
 mod tests {
     use super::*;
     use recama_hw::ShardBudget;
 
+    fn single(patterns: &[&str]) -> PatternSet {
+        let engine = Engine::builder()
+            .patterns(patterns)
+            .shard_policy(ShardPolicy::Single)
+            .build()
+            .unwrap();
+        PatternSet::try_from(engine).unwrap()
+    }
+
+    fn sharded(patterns: &[&str], policy: ShardPolicy) -> ShardedPatternSet {
+        Engine::builder()
+            .patterns(patterns)
+            .shard_policy(policy)
+            .build()
+            .unwrap()
+            .into_set()
+    }
+
     #[test]
     fn mirrors_per_pattern_find_ends() {
         let patterns = ["ab{2,3}c", "a{3}", "cab", "x[yz]{2}"];
-        let set = PatternSet::compile_many(&patterns).unwrap();
+        let set = single(&patterns);
         let baseline = PatternSet::compile_baseline(&patterns).unwrap();
         let haystack = b"abbc.aaa.cab.xyz.abbbc";
         let mut expected: Vec<SetMatch> = Vec::new();
@@ -1162,24 +1059,45 @@ mod tests {
 
     #[test]
     fn compile_many_reports_offending_index() {
-        let err = PatternSet::compile_many(&["ok", "bad(", "ok2"]).unwrap_err();
+        let err = Engine::builder()
+            .patterns(["ok", "bad(", "ok2"])
+            .shard_policy(ShardPolicy::Single)
+            .build()
+            .unwrap_err();
         assert_eq!(err.index, 1);
         assert!(err.to_string().contains("#1"));
     }
 
     #[test]
     fn compile_filtered_skips_bad_patterns() {
-        let (set, rejected) =
-            PatternSet::compile_filtered(&["a{2}", r"(x)\1", "b{3}"], &CompileOptions::default());
+        let engine = Engine::builder()
+            .patterns(["a{2}", r"(x)\1", "b{3}"])
+            .shard_policy(ShardPolicy::Single)
+            .lossy(true)
+            .build()
+            .unwrap();
+        let rejected = engine.skipped().to_vec();
+        let set = PatternSet::try_from(engine).unwrap();
         assert_eq!(set.len(), 2);
         assert_eq!(rejected.len(), 1);
-        assert_eq!(rejected[0].0, 1);
+        assert_eq!(rejected[0].index, 1);
         assert!(set.is_match(b"bbb"));
     }
 
     #[test]
+    fn multi_shard_engines_are_not_pattern_sets() {
+        let engine = Engine::builder()
+            .patterns(["ab", "cd"])
+            .shard_policy(ShardPolicy::Fixed(2))
+            .build()
+            .unwrap();
+        let engine = PatternSet::try_from(engine).unwrap_err();
+        assert_eq!(engine.shard_count(), 2);
+    }
+
+    #[test]
     fn network_is_merged_and_valid_with_report_ids() {
-        let set = PatternSet::compile_many(&["^a{30}", "[xy]{5}z"]).unwrap();
+        let set = single(&["^a{30}", "[xy]{5}z"]);
         assert!(
             set.network().validate().is_empty(),
             "{:?}",
@@ -1192,7 +1110,7 @@ mod tests {
 
     #[test]
     fn dollar_anchor_filters_set_matches() {
-        let set = PatternSet::compile_many(&["ab$", "ab"]).unwrap();
+        let set = single(&["ab$", "ab"]);
         let got = set.find_ends(b"ab.ab");
         // "ab$" only at the final position; "ab" at both.
         assert_eq!(
@@ -1207,7 +1125,7 @@ mod tests {
 
     #[test]
     fn stream_positions_are_absolute() {
-        let set = PatternSet::compile_many(&["kk"]).unwrap();
+        let set = single(&["kk"]);
         let mut stream = set.stream();
         assert_eq!(stream.feed(b"....").count(), 0);
         let hits: Vec<SetMatch> = stream.feed(b"kk").collect();
@@ -1226,7 +1144,7 @@ mod tests {
     fn stream_finish_survives_empty_final_chunk() {
         let patterns = ["ab$", "ab", "cd$"];
         let input: &[u8] = b"ab.cd";
-        let single = PatternSet::compile_many(&patterns).unwrap();
+        let single = single(&patterns);
         let expected = single.find_ends(input); // the $-filtered one-shot scan
 
         // Unsharded stream: non-$ feed reports + finish == find_ends.
@@ -1250,12 +1168,7 @@ mod tests {
         assert_eq!(got, expected);
 
         // Sharded stream, same chunking, same contract.
-        let sharded = ShardedPatternSet::compile_many_with(
-            &patterns,
-            &CompileOptions::default(),
-            ShardPolicy::Fixed(2),
-        )
-        .unwrap();
+        let sharded = sharded(&patterns, ShardPolicy::Fixed(2));
         let mut stream = sharded.stream();
         let mut got = Vec::new();
         for chunk in [&b"ab"[..], b".c", b"d", b""] {
@@ -1272,7 +1185,7 @@ mod tests {
 
     #[test]
     fn stream_finish_is_empty_when_no_dollar_match_ends_the_stream() {
-        let set = PatternSet::compile_many(&["ab$", "xy"]).unwrap();
+        let set = single(&["ab$", "xy"]);
         // Candidate at 2, but the stream continues past it.
         let mut stream = set.stream();
         assert_eq!(stream.feed(b"ab").count(), 1);
@@ -1285,7 +1198,7 @@ mod tests {
 
     #[test]
     fn hardware_simulator_attributes_reports() {
-        let set = PatternSet::compile_many(&["^ab{2}c", "xyz"]).unwrap();
+        let set = single(&["^ab{2}c", "xyz"]);
         let mut hw = set.hardware();
         let ends = hw.match_ends(b"abbc..xyz");
         assert_eq!(ends, vec![4, 9]);
@@ -1293,13 +1206,13 @@ mod tests {
 
     #[test]
     fn empty_set_is_well_formed() {
-        let set = PatternSet::compile_many::<&str>(&[]).unwrap();
+        let set = single(&[]);
         assert!(set.is_empty());
         assert!(set.find_ends(b"anything").is_empty());
         assert!(set.network().validate().is_empty());
         // The sharded view compiles to one empty shard.
         assert_eq!(set.sharded().shard_count(), 1);
-        let sharded = ShardedPatternSet::compile_many::<&str>(&[]).unwrap();
+        let sharded = sharded(&[], ShardPolicy::default());
         assert!(sharded.find_ends(b"anything").is_empty());
         assert_eq!(sharded.stream().feed(b"xy").count(), 0);
     }
@@ -1307,7 +1220,7 @@ mod tests {
     #[test]
     fn sharded_reports_are_byte_identical_to_unsharded() {
         let patterns = ["ab{2,3}c", "a{3}", "cab", "x[yz]{2}", "k\\d{2}"];
-        let single = PatternSet::compile_many(&patterns).unwrap();
+        let single = single(&patterns);
         let haystack = b"abbc.aaa.cab.xyz.k42.abbbc";
         let expected = single.find_ends(haystack);
         for policy in [
@@ -1321,9 +1234,7 @@ mod tests {
                 bitvector_bits: 2000,
             }),
         ] {
-            let sharded =
-                ShardedPatternSet::compile_many_with(&patterns, &CompileOptions::default(), policy)
-                    .unwrap();
+            let sharded = sharded(&patterns, policy);
             // No sort: the order must match too.
             assert_eq!(sharded.find_ends(haystack), expected, "policy {policy:?}");
         }
@@ -1332,12 +1243,7 @@ mod tests {
     #[test]
     fn sharded_networks_carry_global_report_ids() {
         let patterns = ["^a{30}", "[xy]{5}z", "k\\d{2}"];
-        let set = ShardedPatternSet::compile_many_with(
-            &patterns,
-            &CompileOptions::default(),
-            ShardPolicy::Fixed(2),
-        )
-        .unwrap();
+        let set = sharded(&patterns, ShardPolicy::Fixed(2));
         assert_eq!(set.shard_count(), 2);
         let mut all_ids = Vec::new();
         for si in 0..set.shard_count() {
@@ -1351,12 +1257,7 @@ mod tests {
     #[test]
     fn sharded_stream_agrees_with_oneshot() {
         let patterns = ["ab{2,4}c", "x{3}", "q[rs]{2}t"];
-        let set = ShardedPatternSet::compile_many_with(
-            &patterns,
-            &CompileOptions::default(),
-            ShardPolicy::Fixed(3),
-        )
-        .unwrap();
+        let set = sharded(&patterns, ShardPolicy::Fixed(3));
         let input = b"zabbbc_xxx_qrst_abbc_xxxx";
         let oneshot = set.find_ends(input);
         for chunk_len in [1usize, 2, 7, input.len()] {
@@ -1373,7 +1274,7 @@ mod tests {
     #[test]
     fn find_spans_locates_starts_per_pattern() {
         let patterns = ["ab{2,3}c", "xyz"];
-        let set = PatternSet::compile_many(&patterns).unwrap();
+        let set = single(&patterns);
         let spans = set.find_spans(b"zzabbc..xyz..abbbc");
         assert_eq!(
             spans,
@@ -1419,7 +1320,7 @@ mod tests {
         assert_send::<PatternSet>();
 
         // Engines really do move onto worker threads.
-        let set = PatternSet::compile_many(&["kk"]).unwrap();
+        let set = single(&["kk"]);
         let mut stream = set.stream();
         let hits = std::thread::scope(|scope| {
             scope

@@ -11,17 +11,15 @@
 //! When an intentional API change lands, update the listing/pins in the
 //! same commit — that is the review hook.
 
-#![allow(deprecated)] // the deprecated wrappers are part of the pinned surface
-
 use recama::compiler::CompileOptions;
 use recama::hw::ShardPolicy;
 use recama::syntax::ParseError;
 use recama::{
     CompileError, CompilePhase, Engine, EngineBuilder, FaultMetrics, FaultPolicy, FlowId,
-    FlowMatch, FlowScheduler, FlowService, HybridStats, MatchSpan, OverloadPolicy, Pattern,
-    PatternSet, PrefilterMetrics, PrefilterMode, RuleMatch, ServeConfig, ServeError, ServiceConfig,
-    ServiceEvent, ServiceHandle, ServiceMetrics, SetCompileError, SetMatch, SetSpan, SetStream,
-    ShardedPatternSet, ShardedSetStream, SkippedRule,
+    FlowMatch, FlowScheduler, HybridStats, MatchSpan, OverloadPolicy, Pattern, PatternSet,
+    PrefilterMetrics, PrefilterMode, RuleMatch, ServeConfig, ServeError, ServiceEvent,
+    ServiceHandle, ServiceMetrics, SetMatch, SetSpan, SetStream, ShardedPatternSet,
+    ShardedSetStream, SkippedRule,
 };
 use std::task::Poll;
 use std::time::Duration;
@@ -42,7 +40,6 @@ const ROOT_EXPORTS: &[&str] = &[
     "FlowId",
     "FlowMatch",
     "FlowScheduler",
-    "FlowService (deprecated = ServiceHandle)",
     "HybridStats",
     "MatchSpan",
     "OverloadPolicy",
@@ -54,11 +51,9 @@ const ROOT_EXPORTS: &[&str] = &[
     "ScanMode",
     "ServeConfig",
     "ServeError",
-    "ServiceConfig",
     "ServiceEvent",
     "ServiceHandle",
     "ServiceMetrics",
-    "SetCompileError (deprecated = CompileError)",
     "SetMatch",
     "SetSpan",
     "SetStream",
@@ -97,7 +92,6 @@ fn engine_builder_signatures() {
     let _: fn(EngineBuilder, CompileOptions) -> EngineBuilder = EngineBuilder::options;
     let _: fn(EngineBuilder, ShardPolicy) -> EngineBuilder = EngineBuilder::shard_policy;
     let _: fn(EngineBuilder, usize) -> EngineBuilder = EngineBuilder::workers;
-    let _: fn(EngineBuilder, ServiceConfig) -> EngineBuilder = EngineBuilder::service_config;
     let _: fn(EngineBuilder, bool) -> EngineBuilder = EngineBuilder::lossy;
     let _: fn(EngineBuilder, PrefilterMode) -> EngineBuilder = EngineBuilder::prefilter;
     let _: fn(EngineBuilder) -> Result<Engine, CompileError> = EngineBuilder::build;
@@ -111,9 +105,6 @@ fn engine_signatures() {
     let _: for<'a> fn(&'a Engine) -> ShardedSetStream<'a> = |e| e.stream();
     let _: for<'a> fn(&'a Engine) -> FlowScheduler<'a> = |e| e.scheduler();
     let _: for<'a> fn(&'a Engine, usize) -> FlowScheduler<'a> = |e, w| e.scheduler_with(w);
-    let _: for<'a> fn(&'a Engine) -> FlowService<'a> = |e| e.service();
-    let _: for<'a> fn(&'a Engine, usize, ServiceConfig) -> FlowService<'a> =
-        |e, w, c| e.service_with(w, c);
     let _: fn(&Engine) -> ServiceHandle = |e| e.serve();
     let _: fn(&Engine, usize, ServeConfig) -> ServiceHandle = |e, w, c| e.serve_with(w, c);
     let _: fn(Engine) -> ServiceHandle = Engine::into_service;
@@ -127,26 +118,8 @@ fn engine_signatures() {
     let _: fn(&Engine) -> usize = Engine::shard_count;
     let _: fn(&Engine) -> PrefilterMode = Engine::prefilter;
     let _: fn(&Engine) -> usize = Engine::workers;
-    let _: fn(&Engine) -> ServiceConfig = Engine::service_config;
     let _: for<'a> fn(&'a Engine) -> &'a ShardedPatternSet = |e| e.set();
     let _: fn(Engine) -> ShardedPatternSet = Engine::into_set;
-}
-
-#[test]
-fn flow_service_signatures() {
-    let _: fn(&FlowService<'_>, u64, &[u8]) -> Poll<u64> = |s, f, c| s.try_push(f, c);
-    let _: fn(&FlowService<'_>, u64, &[u8]) -> u64 = |s, f, c| s.push(f, c);
-    let _: fn(&FlowService<'_>, u64) = |s, f| s.close(f);
-    let _: fn(&FlowService<'_>) = |s| s.barrier();
-    let _: fn(&FlowService<'_>, u64) -> Vec<SetMatch> = |s, f| s.poll(f);
-    let _: fn(&FlowService<'_>, u64) -> Vec<SetMatch> = |s, f| s.finishing(f);
-    let _: fn(&FlowService<'_>) -> Vec<FlowMatch> = |s| s.drain_global();
-    let _: fn(&FlowService<'_>) -> Vec<u64> = |s| s.evictions();
-    let _: fn(&FlowService<'_>) -> usize = |s| s.flow_count();
-    let _: fn(&FlowService<'_>, u64) -> Option<u64> = |s, f| s.flow_len(f);
-    let _: fn(&FlowService<'_>) -> u64 = |s| s.pending_bytes();
-    let _: fn(&FlowService<'_>) -> usize = |s| s.workers();
-    let _: fn(&FlowService<'_>) -> ServiceConfig = |s| s.config();
 }
 
 #[test]
@@ -187,12 +160,6 @@ fn service_handle_signatures() {
     let _: fn(&ServiceHandle) -> ServeConfig = |s| s.config();
     let _: fn(ServiceHandle) = ServiceHandle::shutdown;
 
-    // The deprecated raw-u64 shims keep the scheduler's addressing.
-    let _: fn(&ServiceHandle, u64, &[u8]) -> Poll<u64> = |s, f, c| s.try_push_raw(f, c);
-    let _: fn(&ServiceHandle, u64) = |s, f| s.close_raw(f);
-    let _: fn(&ServiceHandle, u64) -> Vec<SetMatch> = |s, f| s.poll_raw(f);
-    let _: fn(&ServiceHandle, u64) -> Vec<SetMatch> = |s, f| s.finishing_raw(f);
-
     // FlowId is an opaque generational handle.
     let _: fn(&FlowId) -> u32 = FlowId::index;
     let _: fn(&FlowId) -> u32 = FlowId::generation;
@@ -200,8 +167,6 @@ fn service_handle_signatures() {
 
 #[test]
 fn flow_scheduler_signatures() {
-    let _: for<'a> fn(&'a ShardedPatternSet, usize) -> FlowScheduler<'a> =
-        |s, w| FlowScheduler::new(s, w);
     let _: fn(&FlowScheduler<'_>, u64, &[u8]) = |s, f, c| s.push(f, c);
     let _: fn(&FlowScheduler<'_>) = |s| s.run();
     let _: fn(&FlowScheduler<'_>, u64) = |s, f| s.close(f);
@@ -228,27 +193,12 @@ fn stream_signatures() {
     let _: fn(ShardedSetStream<'_>) -> Vec<SetMatch> = |s| s.finish();
 }
 
-#[allow(clippy::type_complexity)] // the pins ARE the explicit types
 #[test]
-fn deprecated_wrapper_signatures() {
-    // The old constructors must keep compiling with their historical
-    // shapes (the differential suites depend on them verbatim).
-    let _: fn(&[&str]) -> Result<PatternSet, SetCompileError> = |p| PatternSet::compile_many(p);
-    let _: fn(&[&str], &CompileOptions) -> Result<PatternSet, SetCompileError> =
-        |p, o| PatternSet::compile_many_with(p, o);
-    let _: fn(&[&str], &CompileOptions) -> (PatternSet, Vec<(usize, ParseError)>) =
-        |p, o| PatternSet::compile_filtered(p, o);
+fn pattern_set_signatures() {
+    // The builder is the one way to compile a ruleset; a single-shard
+    // engine converts into a PatternSet (anything else comes back).
     let _: fn(&[&str]) -> Result<Vec<Pattern>, CompileError> = |p| PatternSet::compile_baseline(p);
-    let _: fn(&[&str]) -> Result<ShardedPatternSet, SetCompileError> =
-        |p| ShardedPatternSet::compile_many(p);
-    let _: fn(&[&str], &CompileOptions, ShardPolicy) -> Result<ShardedPatternSet, SetCompileError> =
-        |p, o, s| ShardedPatternSet::compile_many_with(p, o, s);
-    let _: fn(
-        &[&str],
-        &CompileOptions,
-        ShardPolicy,
-    ) -> (ShardedPatternSet, Vec<(usize, ParseError)>) =
-        |p, o, s| ShardedPatternSet::compile_filtered(p, o, s);
+    let _: fn(Engine) -> Result<PatternSet, Engine> = PatternSet::try_from;
 }
 
 // ---- field pins (struct shapes) ---------------------------------------
@@ -274,15 +224,6 @@ fn pin_skipped_rule(s: SkippedRule) -> (usize, u64, String, ParseError) {
         error,
     } = s;
     (index, id, pattern, error)
-}
-
-#[allow(dead_code)]
-fn pin_service_config(c: ServiceConfig) -> (usize, Option<Duration>) {
-    let ServiceConfig {
-        flow_budget,
-        idle_timeout,
-    } = c;
-    (flow_budget, idle_timeout)
 }
 
 #[allow(dead_code)]

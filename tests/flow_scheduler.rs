@@ -9,10 +9,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use recama::compiler::CompileOptions;
 use recama::hw::ShardPolicy;
 use recama::workloads::{generate, traffic, BenchmarkId, PatternClass};
-use recama::{FlowMatch, FlowScheduler, SetMatch, ShardedPatternSet};
+use recama::{Engine, FlowMatch, SetMatch};
 use std::collections::HashMap;
 
 /// The parseable patterns of a scaled synthetic ruleset, bounded to keep
@@ -48,9 +47,18 @@ fn random_chunks<'i>(input: &'i [u8], rng: &mut StdRng) -> Vec<&'i [u8]> {
     chunks
 }
 
+/// The engine over `patterns` under a shard `policy`.
+fn build<S: AsRef<str>>(patterns: &[S], policy: ShardPolicy) -> Engine {
+    Engine::builder()
+        .patterns(patterns)
+        .shard_policy(policy)
+        .build()
+        .unwrap()
+}
+
 /// What an independent per-flow stream reports for this chunk sequence.
-fn expected_for(set: &ShardedPatternSet, chunks: &[&[u8]]) -> Vec<SetMatch> {
-    let mut stream = set.stream();
+fn expected_for(engine: &Engine, chunks: &[&[u8]]) -> Vec<SetMatch> {
+    let mut stream = engine.stream();
     let mut out = Vec::new();
     for chunk in chunks {
         out.extend(stream.feed(chunk));
@@ -66,12 +74,7 @@ fn randomized_interleavings_match_independent_streams() {
         "degenerate sample: {}",
         patterns.len()
     );
-    let set = ShardedPatternSet::compile_many_with(
-        &patterns,
-        &CompileOptions::default(),
-        ShardPolicy::Fixed(3),
-    )
-    .unwrap();
+    let engine = build(&patterns, ShardPolicy::Fixed(3));
     let ruleset = generate(BenchmarkId::Snort, 0.004, 2022);
 
     for seed in [1u64, 7, 2022] {
@@ -99,7 +102,7 @@ fn randomized_interleavings_match_independent_streams() {
         }
 
         for workers in [1usize, 4] {
-            let sched = FlowScheduler::new(&set, workers);
+            let sched = engine.scheduler_with(workers);
             let mut cursors = vec![0usize; flows.len()];
             for (ei, &fi) in events.iter().enumerate() {
                 sched.push(fi as u64, chunked[fi][cursors[fi]]);
@@ -113,7 +116,7 @@ fn randomized_interleavings_match_independent_streams() {
 
             let mut global = sched.drain_global();
             for (fi, chunks) in chunked.iter().enumerate() {
-                let expected = expected_for(&set, chunks);
+                let expected = expected_for(&engine, chunks);
                 assert_eq!(
                     sched.poll(fi as u64),
                     expected,
@@ -142,18 +145,13 @@ fn single_flow_spreads_over_many_workers() {
     // One flow, eight workers: only shard-level parallelism is available,
     // and the merged output must still be in stream order.
     let patterns = sample_patterns(BenchmarkId::Snort, 0.004, 7, 400);
-    let set = ShardedPatternSet::compile_many_with(
-        &patterns,
-        &CompileOptions::default(),
-        ShardPolicy::Fixed(4),
-    )
-    .unwrap();
+    let engine = build(&patterns, ShardPolicy::Fixed(4));
     let ruleset = generate(BenchmarkId::Snort, 0.004, 7);
     let input = traffic(&ruleset, 8 * 1024, 0.002, 7);
 
-    let sched = FlowScheduler::new(&set, 8);
+    let sched = engine.scheduler_with(8);
     let mut expected = Vec::new();
-    let mut stream = set.stream();
+    let mut stream = engine.stream();
     for chunk in input.chunks(512) {
         sched.push(42, chunk);
         expected.extend(stream.feed(chunk));
@@ -165,15 +163,10 @@ fn single_flow_spreads_over_many_workers() {
 #[test]
 fn many_flows_on_one_worker() {
     let patterns = sample_patterns(BenchmarkId::Suricata, 0.004, 1, 400);
-    let set = ShardedPatternSet::compile_many_with(
-        &patterns,
-        &CompileOptions::default(),
-        ShardPolicy::Fixed(2),
-    )
-    .unwrap();
+    let engine = build(&patterns, ShardPolicy::Fixed(2));
     let ruleset = generate(BenchmarkId::Suricata, 0.004, 1);
 
-    let sched = FlowScheduler::new(&set, 1);
+    let sched = engine.scheduler_with(1);
     let flows: Vec<Vec<u8>> = (0..32)
         .map(|fi| traffic(&ruleset, 512, 0.002, 100 + fi))
         .collect();
@@ -195,7 +188,7 @@ fn many_flows_on_one_worker() {
             .collect();
         assert_eq!(
             sched.poll(fi as u64),
-            expected_for(&set, &chunks),
+            expected_for(&engine, &chunks),
             "flow {fi}"
         );
     }
@@ -203,13 +196,8 @@ fn many_flows_on_one_worker() {
 
 #[test]
 fn close_and_reopen_cycles_keep_flows_independent() {
-    let set = ShardedPatternSet::compile_many_with(
-        &["ab{2}c", "xyz"],
-        &CompileOptions::default(),
-        ShardPolicy::Fixed(2),
-    )
-    .unwrap();
-    let sched = FlowScheduler::new(&set, 2);
+    let engine = build(&["ab{2}c", "xyz"], ShardPolicy::Fixed(2));
+    let sched = engine.scheduler_with(2);
 
     // Three incarnations of the same flow id, each a fresh stream: the
     // match must be found at the *incarnation-local* offset every time,
@@ -242,16 +230,11 @@ fn close_and_reopen_cycles_keep_flows_independent() {
 fn closed_flows_finish_like_their_streams() {
     // Patterns 0 and 2 are $-anchored; 1 and 3 are not.
     let patterns = ["ab$", "ab", "a{2,3}$", "cd"];
-    let set = ShardedPatternSet::compile_many_with(
-        &patterns,
-        &CompileOptions::default(),
-        ShardPolicy::Fixed(2),
-    )
-    .unwrap();
+    let engine = build(&patterns, ShardPolicy::Fixed(2));
     let dollar = [true, false, true, false];
 
     let inputs: [&[u8]; 4] = [b"xx.ab", b"cd.aaa", b"ab.cd.ab", b""];
-    let sched = FlowScheduler::new(&set, 2);
+    let sched = engine.scheduler_with(2);
     for (fi, bytes) in inputs.iter().enumerate() {
         for chunk in bytes.chunks(2) {
             sched.push(fi as u64, chunk);
@@ -269,19 +252,14 @@ fn closed_flows_finish_like_their_streams() {
             .collect();
         got.extend(sched.finishing(fi as u64));
         got.sort_by_key(|m| (m.end, m.pattern)); // find_ends' stream order
-        assert_eq!(got, set.find_ends(bytes), "flow {fi}");
+        assert_eq!(got, engine.scan(bytes), "flow {fi}");
     }
 }
 
 #[test]
 fn reports_group_by_flow_consistently_between_queue_and_sink() {
-    let set = ShardedPatternSet::compile_many_with(
-        &["kk"],
-        &CompileOptions::default(),
-        ShardPolicy::Single,
-    )
-    .unwrap();
-    let sched = FlowScheduler::new(&set, 3);
+    let engine = build(&["kk"], ShardPolicy::Single);
+    let sched = engine.scheduler_with(3);
     for flow in 0..10u64 {
         sched.push(flow, b"..kk..kk");
     }

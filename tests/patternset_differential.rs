@@ -6,8 +6,19 @@
 //! MNRL network must validate, place, and carry per-pattern report ids.
 
 use recama::compiler::CompileOptions;
+use recama::hw::ShardPolicy;
 use recama::workloads::{generate, traffic, BenchmarkId, PatternClass};
-use recama::{Pattern, PatternSet, SetMatch};
+use recama::{Engine, Pattern, PatternSet, SetMatch};
+
+/// The single-shard set over `patterns`, through the builder.
+fn pattern_set(patterns: &[String]) -> PatternSet {
+    let engine = Engine::builder()
+        .patterns(patterns)
+        .shard_policy(ShardPolicy::Single)
+        .build()
+        .unwrap();
+    PatternSet::try_from(engine).unwrap()
+}
 
 /// The parseable patterns of a scaled synthetic ruleset, bounded to keep
 /// compile times test-friendly.
@@ -44,7 +55,7 @@ fn snort_and_suricata_sets_match_per_pattern_union() {
         for seed in [1u64, 7, 2022] {
             let patterns = sample_patterns(id, 0.004, seed, 400);
             assert!(patterns.len() >= 10, "{id:?}/{seed}: degenerate sample");
-            let set = PatternSet::compile_many(&patterns).unwrap();
+            let set = pattern_set(&patterns);
             let ruleset = generate(id, 0.004, seed);
             let input = traffic(&ruleset, 4096, 0.002, seed);
 
@@ -65,7 +76,7 @@ fn one_percent_snort_acceptance() {
     // network with per-pattern report ids, reports equal to the
     // per-pattern union on generated traffic.
     let patterns = sample_patterns(BenchmarkId::Snort, 0.01, 2022, 600);
-    let set = PatternSet::compile_many(&patterns).unwrap();
+    let set = pattern_set(&patterns);
 
     // One merged network, valid, every pattern represented by report id.
     assert!(
@@ -91,7 +102,7 @@ fn one_percent_snort_acceptance() {
 fn chunked_streaming_agrees_with_oneshot_at_every_boundary() {
     for (id, seed) in [(BenchmarkId::Snort, 3u64), (BenchmarkId::Suricata, 11)] {
         let patterns = sample_patterns(id, 0.003, seed, 300);
-        let set = PatternSet::compile_many(&patterns).unwrap();
+        let set = pattern_set(&patterns);
         let ruleset = generate(id, 0.003, seed);
         let input = traffic(&ruleset, 2048, 0.003, seed);
 
@@ -122,7 +133,7 @@ fn streaming_matches_survive_pathological_boundaries() {
         "k[ab]{3,9}z".into(),
         "exact{2}".into(),
     ];
-    let set = PatternSet::compile_many(&patterns).unwrap();
+    let set = pattern_set(&patterns);
     let input = b"..header1234end..kabababz..exactexact..";
     let mut oneshot_stream = set.stream();
     let oneshot: Vec<SetMatch> = oneshot_stream.feed(input).collect();
@@ -140,7 +151,7 @@ fn module_decisions_are_preserved_per_pattern() {
     // Merging must not change what the compiler decided per pattern:
     // compile the same patterns alone and as a set and compare modules.
     let patterns = sample_patterns(BenchmarkId::Snort, 0.004, 5, 400);
-    let set = PatternSet::compile_many(&patterns).unwrap();
+    let set = pattern_set(&patterns);
     for (i, p) in patterns.iter().enumerate() {
         let alone = recama::compiler::compile(
             &recama::syntax::parse(p).unwrap().for_stream(),
@@ -157,7 +168,7 @@ fn module_decisions_are_preserved_per_pattern() {
 #[test]
 fn hardware_reports_agree_with_software_on_the_merged_image() {
     let patterns = sample_patterns(BenchmarkId::Suricata, 0.002, 13, 120);
-    let set = PatternSet::compile_many(&patterns).unwrap();
+    let set = pattern_set(&patterns);
     let ruleset = generate(BenchmarkId::Suricata, 0.002, 13);
     let input = traffic(&ruleset, 1024, 0.004, 13);
 

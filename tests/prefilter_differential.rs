@@ -13,7 +13,7 @@
 //! flow's filter state intact.
 
 use proptest::prelude::*;
-use recama::{Engine, FlowScheduler, Pattern, PrefilterMode, SetMatch};
+use recama::{Engine, Pattern, PrefilterMode, SetMatch};
 
 /// Pattern pool the properties sample rulesets from: the left column
 /// carries a usable required literal (contiguous singleton-byte run at
@@ -72,7 +72,7 @@ fn chunked_reports(engine: &Engine, input: &[u8], chunk_len: usize) -> Vec<SetMa
 /// Pushes `input` through a one-flow scheduler in `chunk_len` chunks —
 /// the checkout-skipping path, as opposed to the in-stream gate.
 fn scheduled_reports(engine: &Engine, input: &[u8], chunk_len: usize) -> Vec<SetMatch> {
-    let sched = FlowScheduler::new(engine.set(), 2);
+    let sched = engine.scheduler_with(2);
     for chunk in input.chunks(chunk_len.max(1)) {
         sched.push(7, chunk);
     }
@@ -142,7 +142,7 @@ fn literals_split_across_every_chunk_boundary() {
         }
         // And through the scheduler, where the cold-unit skip rewinds
         // the parked engine rather than feeding it.
-        let sched = FlowScheduler::new(on.set(), 2);
+        let sched = on.scheduler_with(2);
         sched.push(1, &input[..cut]);
         sched.push(1, &input[cut..]);
         sched.run();
@@ -163,7 +163,7 @@ fn always_on_only_rulesets_never_skip_and_never_miss() {
     let input = b"..ba..xyxy..42x..ba";
     assert_eq!(on.scan(input), off.scan(input));
 
-    let sched = FlowScheduler::new(on.set(), 2);
+    let sched = on.scheduler_with(2);
     for chunk in input.chunks(3) {
         sched.push(1, chunk);
     }
@@ -195,7 +195,7 @@ fn benign_traffic_skips_while_reports_stay_empty_and_identical() {
     assert_eq!(on.scan(&input), off.scan(&input));
     assert!(on.scan(&input).is_empty());
 
-    let sched = FlowScheduler::new(on.set(), 2);
+    let sched = on.scheduler_with(2);
     for chunk in input.chunks(256) {
         sched.push(1, chunk);
         sched.push(2, chunk);

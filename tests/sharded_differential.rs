@@ -8,10 +8,28 @@
 //! and set-level spans must equal the per-pattern reversed-automaton
 //! results.
 
-use recama::compiler::CompileOptions;
 use recama::hw::{RuleCost, ShardBudget, ShardPolicy};
 use recama::workloads::{generate, traffic, BenchmarkId, PatternClass};
-use recama::{Pattern, PatternSet, SetMatch, ShardedPatternSet};
+use recama::{Engine, Pattern, PatternSet, SetMatch, ShardedPatternSet};
+
+/// The engine over `patterns` under a shard `policy`.
+fn engine(patterns: &[String], policy: ShardPolicy) -> Engine {
+    Engine::builder()
+        .patterns(patterns)
+        .shard_policy(policy)
+        .build()
+        .unwrap()
+}
+
+/// The sharded set over `patterns` under a shard `policy`.
+fn sharded(patterns: &[String], policy: ShardPolicy) -> ShardedPatternSet {
+    engine(patterns, policy).into_set()
+}
+
+/// The single-shard set over `patterns`.
+fn pattern_set(patterns: &[String]) -> PatternSet {
+    PatternSet::try_from(engine(patterns, ShardPolicy::Single)).unwrap()
+}
 
 /// The parseable patterns of a scaled synthetic ruleset, bounded to keep
 /// compile times test-friendly.
@@ -45,7 +63,7 @@ fn sharded_reports_equal_unsharded_across_policies_and_seeds() {
         for seed in [1u64, 7, 2022] {
             let patterns = sample_patterns(id, 0.004, seed, 400);
             assert!(patterns.len() >= 10, "{id:?}/{seed}: degenerate sample");
-            let single = PatternSet::compile_many(&patterns).unwrap();
+            let single = pattern_set(&patterns);
             let ruleset = generate(id, 0.004, seed);
             let input = traffic(&ruleset, 4096, 0.002, seed);
             let expected = single.find_ends(&input);
@@ -57,12 +75,7 @@ fn sharded_reports_equal_unsharded_across_policies_and_seeds() {
                 ShardPolicy::Fixed(7),
                 tiny_budget(),
             ] {
-                let sharded = ShardedPatternSet::compile_many_with(
-                    &patterns,
-                    &CompileOptions::default(),
-                    policy,
-                )
-                .unwrap();
+                let sharded = sharded(&patterns, policy);
                 // Byte-identical: same reports in the same order, no sort.
                 assert_eq!(
                     sharded.find_ends(&input),
@@ -82,12 +95,14 @@ fn bank_budget_produces_contiguous_shards_within_budget() {
         counters: 8,
         bitvector_bits: 4000,
     };
-    let (set, rejected) = ShardedPatternSet::compile_filtered(
-        &patterns,
-        &CompileOptions::default(),
-        ShardPolicy::Banked(budget),
-    );
-    assert!(rejected.is_empty());
+    let engine = Engine::builder()
+        .patterns(&patterns)
+        .shard_policy(ShardPolicy::Banked(budget))
+        .lossy(true)
+        .build()
+        .unwrap();
+    assert!(engine.skipped().is_empty());
+    let set = engine.into_set();
     assert!(
         set.shard_count() > 1,
         "tiny budget must force several shards"
@@ -125,12 +140,7 @@ fn bank_budget_produces_contiguous_shards_within_budget() {
 fn sharded_chunked_streaming_agrees_with_oneshot_at_every_boundary() {
     for (id, seed) in [(BenchmarkId::Snort, 3u64), (BenchmarkId::Suricata, 11)] {
         let patterns = sample_patterns(id, 0.003, seed, 300);
-        let set = ShardedPatternSet::compile_many_with(
-            &patterns,
-            &CompileOptions::default(),
-            ShardPolicy::Fixed(4),
-        )
-        .unwrap();
+        let set = sharded(&patterns, ShardPolicy::Fixed(4));
         let ruleset = generate(id, 0.003, seed);
         let input = traffic(&ruleset, 2048, 0.003, seed);
 
@@ -157,13 +167,8 @@ fn sharded_stream_agrees_with_unsharded_stream_on_large_chunks() {
     // Chunks above the parallel-feed threshold exercise the scoped-thread
     // fan-out path; the reports must match the single-engine stream.
     let patterns = sample_patterns(BenchmarkId::Snort, 0.004, 5, 400);
-    let single = PatternSet::compile_many(&patterns).unwrap();
-    let sharded = ShardedPatternSet::compile_many_with(
-        &patterns,
-        &CompileOptions::default(),
-        ShardPolicy::Fixed(3),
-    )
-    .unwrap();
+    let single = pattern_set(&patterns);
+    let sharded = sharded(&patterns, ShardPolicy::Fixed(3));
     let ruleset = generate(BenchmarkId::Snort, 0.004, 5);
     let input = traffic(&ruleset, 3 * 8192, 0.002, 5);
 
@@ -186,12 +191,7 @@ fn streaming_matches_survive_pathological_boundaries_under_sharding() {
         "k[ab]{3,9}z".into(),
         "exact{2}".into(),
     ];
-    let set = ShardedPatternSet::compile_many_with(
-        &patterns,
-        &CompileOptions::default(),
-        ShardPolicy::Fixed(3),
-    )
-    .unwrap();
+    let set = sharded(&patterns, ShardPolicy::Fixed(3));
     assert_eq!(set.shard_count(), 3);
     let input = b"..header1234end..kabababz..exactexact..";
     let mut oneshot_stream = set.stream();
@@ -208,12 +208,7 @@ fn streaming_matches_survive_pathological_boundaries_under_sharding() {
 #[test]
 fn set_spans_equal_per_pattern_spans() {
     let patterns = sample_patterns(BenchmarkId::Suricata, 0.002, 13, 120);
-    let sharded = ShardedPatternSet::compile_many_with(
-        &patterns,
-        &CompileOptions::default(),
-        ShardPolicy::Fixed(4),
-    )
-    .unwrap();
+    let sharded = sharded(&patterns, ShardPolicy::Fixed(4));
     let ruleset = generate(BenchmarkId::Suricata, 0.002, 13);
     let input = traffic(&ruleset, 2048, 0.004, 13);
 
@@ -234,7 +229,7 @@ fn set_spans_equal_per_pattern_spans() {
     assert_eq!(got, expected, "sharded spans diverge from per-pattern");
 
     // The unsharded set agrees too (same code path, N = 1).
-    let single = PatternSet::compile_many(&patterns).unwrap();
+    let single = pattern_set(&patterns);
     let mut got_single: Vec<(usize, usize, usize)> = single
         .find_spans(&input)
         .into_iter()
@@ -247,12 +242,7 @@ fn set_spans_equal_per_pattern_spans() {
 #[test]
 fn sharded_hardware_images_agree_with_software() {
     let patterns = sample_patterns(BenchmarkId::Suricata, 0.002, 13, 120);
-    let set = ShardedPatternSet::compile_many_with(
-        &patterns,
-        &CompileOptions::default(),
-        ShardPolicy::Fixed(3),
-    )
-    .unwrap();
+    let set = sharded(&patterns, ShardPolicy::Fixed(3));
     let ruleset = generate(BenchmarkId::Suricata, 0.002, 13);
     let input = traffic(&ruleset, 1024, 0.004, 13);
 
@@ -282,12 +272,7 @@ fn sharded_streams_move_across_threads() {
     // One resumable engine state per shard per flow, with flows owned by
     // worker threads — the multi-stream scheduler shape.
     let patterns: Vec<String> = vec!["flow[0-9]{2}end".into(), "k[ab]{2,5}z".into()];
-    let set = ShardedPatternSet::compile_many_with(
-        &patterns,
-        &CompileOptions::default(),
-        ShardPolicy::Fixed(2),
-    )
-    .unwrap();
+    let set = sharded(&patterns, ShardPolicy::Fixed(2));
     let flows: [&[u8]; 2] = [b"..flow42end..", b"..kabz..flow07end"];
     let counts: Vec<usize> = std::thread::scope(|scope| {
         let handles: Vec<_> = flows
