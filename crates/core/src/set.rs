@@ -809,8 +809,8 @@ impl PatternSet {
         self.inner.network(0)
     }
 
-    /// The merged shared automaton (one `q0`, shared byte-class
-    /// alphabet, per-pattern state ranges).
+    /// The merged shared automaton (one `q0`, one shared `Σ*` search
+    /// state, shared byte-class alphabet, per-pattern state ranges).
     pub fn multi(&self) -> &MultiNca {
         self.inner.multi().shard(0)
     }

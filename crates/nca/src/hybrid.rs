@@ -404,9 +404,10 @@ impl<'a> HybridEngine<'a> {
 
     /// Patterns accepted by a pure frontier, ascending and deduplicated.
     /// Pure accepting states accept unconditionally, and the merge lays
-    /// patterns out in ascending contiguous state ranges, so a sorted
-    /// subset yields ascending patterns — preserving the per-step report
-    /// order contract of [`MultiEngine::step_into`].
+    /// patterns out in ascending contiguous state ranges (the unowned
+    /// `q0` and shared search state never accept), so a sorted subset
+    /// yields ascending patterns — preserving the per-step report order
+    /// contract of [`MultiEngine::step_into`].
     fn accept_patterns(&self, subset: &[u32]) -> Box<[u32]> {
         let tables = self.multi.tables();
         let mut out: Vec<u32> = Vec::new();
@@ -417,7 +418,7 @@ impl<'a> HybridEngine<'a> {
             let p = self
                 .multi
                 .pattern_of(StateId(q))
-                .expect("the merged q0 never accepts");
+                .expect("the unowned q0 and search state never accept");
             if out.last() != Some(&p) {
                 out.push(p);
             }

@@ -28,7 +28,8 @@ use crate::compiled::{counting_set_eligible, CompilePlan, Storage, StorageMode};
 use crate::hybrid::{HybridEngine, HybridEngineState, HybridStats, ScanMode};
 use crate::nca::{ActionOp, GuardAtom, Nca, State, StateId, Transition};
 use crate::token::{resolve_guard, resolve_transition, SlotSrc, SlotTest};
-use recama_syntax::{ByteAlphabet, ByteClassSet};
+use recama_syntax::{ByteAlphabet, ByteClass, ByteClassSet};
+use std::collections::HashSet;
 
 /// A report of the multi-pattern engine: pattern `pattern` matched with
 /// its last byte at 1-based offset `end`.
@@ -40,19 +41,27 @@ pub struct MultiReport {
     pub end: u64,
 }
 
+/// Id of the shared `Σ*` search state in a [`MultiNca`] that has one.
+const SEARCH_STATE: StateId = StateId(1);
+
 /// Several per-pattern NCAs merged into one shared automaton.
 ///
-/// State 0 is the single merged `q0`; states and counters of pattern `i`
-/// occupy contiguous id ranges, recorded so reports can be attributed.
-/// The merged `q0` never accepts: like the hardware (which cannot report
-/// "before the first symbol"), the multi-pattern machinery only reports
-/// matches ending at offset ≥ 1.
+/// State 0 is the single merged `q0`. If any part has a `Σ*` search loop
+/// (the unanchored search form `Σ*·r`), state 1 is the **shared search
+/// state**: every such part's loop collapses into it, so the live frontier
+/// holds one search state instead of one per rule. The remaining states
+/// and counters of pattern `i` occupy contiguous id ranges in ascending
+/// pattern order, recorded so reports can be attributed; `q0` and the
+/// shared search state are the only unowned states, and neither accepts.
+/// Like the hardware (which cannot report "before the first symbol"),
+/// the multi-pattern machinery only reports matches ending at offset ≥ 1.
 #[derive(Debug)]
 pub struct MultiNca {
     nca: Nca,
     plan: CompilePlan,
     alphabet: ByteAlphabet,
-    /// Pattern owning each state; `u32::MAX` for the merged `q0`.
+    /// Pattern owning each state; `u32::MAX` for the merged `q0` and the
+    /// shared search state.
     pattern_of_state: Vec<u32>,
     pattern_count: usize,
     /// Immutable engine tables, built once here so every
@@ -66,9 +75,11 @@ impl MultiNca {
     /// parts' predicates.
     ///
     /// Per-pattern storage modes — including
-    /// [`StorageMode::CountingSet`] queues — carry over unchanged: the
-    /// merge maps states and transitions 1:1 into disjoint id ranges, so
-    /// counting-set eligibility of a state is preserved.
+    /// [`StorageMode::CountingSet`] queues — carry over unchanged: apart
+    /// from the shared search state, the merge maps states and transitions
+    /// 1:1 into disjoint id ranges, and an edge leaving a part's search
+    /// loop keeps its guard and actions when it leaves the shared state,
+    /// so counting-set eligibility of a state is preserved.
     ///
     /// # Panics
     ///
@@ -93,7 +104,7 @@ impl MultiNca {
     /// Same as [`MultiNca::merge`].
     pub fn merge_with_alphabet(parts: &[(&Nca, CompilePlan)], alphabet: ByteAlphabet) -> MultiNca {
         let mut states: Vec<State> = vec![State {
-            class: recama_syntax::ByteClass::EMPTY,
+            class: ByteClass::EMPTY,
             counters: Vec::new(),
             accepts: Vec::new(),
         }];
@@ -102,19 +113,34 @@ impl MultiNca {
         let mut modes: Vec<StorageMode> = vec![StorageMode::PureBit];
         let mut pattern_of_state: Vec<u32> = vec![u32::MAX];
 
-        for (pi, (nca, plan)) in parts.iter().enumerate() {
+        let loops: Vec<Option<StateId>> = parts.iter().map(|(nca, _)| search_loop(nca)).collect();
+        if loops.iter().any(Option::is_some) {
+            states.push(State {
+                class: ByteClass::ANY,
+                counters: Vec::new(),
+                accepts: Vec::new(),
+            });
+            modes.push(StorageMode::PureBit);
+            pattern_of_state.push(u32::MAX);
+            for from in [StateId::INIT, SEARCH_STATE] {
+                transitions.push(Transition {
+                    from,
+                    to: SEARCH_STATE,
+                    guard: Vec::new(),
+                    actions: Vec::new(),
+                });
+            }
+        }
+
+        for (pi, ((nca, plan), &search)) in parts.iter().zip(&loops).enumerate() {
             assert_eq!(plan.len(), nca.state_count(), "plan/automaton mismatch");
-            // Local state j (j ≥ 1) lands at state_base + j - 1; local
-            // counter k lands at counter_base + k.
-            let state_base = states.len() as u32;
+            // Local state ids map through a table: `q0` to `q0`, the
+            // search loop (if shared) to `SEARCH_STATE`, every other state
+            // to the next free id, so the pattern's owned states stay one
+            // contiguous ascending range. Local counter k lands at
+            // counter_base + k.
             let counter_base = counters.len() as u32;
-            let map_state = |q: StateId| -> StateId {
-                if q == StateId::INIT {
-                    StateId::INIT
-                } else {
-                    StateId(state_base + q.0 - 1)
-                }
-            };
+            let mut state_map = vec![StateId::INIT; nca.state_count()];
             let map_counter = |c: crate::nca::CounterId| crate::nca::CounterId(counter_base + c.0);
             let map_guard = |g: &GuardAtom| match *g {
                 GuardAtom::Lt(c, n) => GuardAtom::Lt(map_counter(c), n),
@@ -123,6 +149,11 @@ impl MultiNca {
                 GuardAtom::Eq(c, n) => GuardAtom::Eq(map_counter(c), n),
             };
             for (qi, s) in nca.states().iter().enumerate().skip(1) {
+                if search == Some(StateId(qi as u32)) {
+                    state_map[qi] = SEARCH_STATE;
+                    continue;
+                }
+                state_map[qi] = StateId(states.len() as u32);
                 debug_assert!(
                     (0..=255u8).all(|b| s.class.contains(b)
                         == s.class
@@ -143,9 +174,12 @@ impl MultiNca {
             }
             counters.extend_from_slice(nca.counters());
             for t in nca.transitions() {
+                if search == Some(t.to) {
+                    continue; // `q0→S` and `S→S` exist once, shared
+                }
                 transitions.push(Transition {
-                    from: map_state(t.from),
-                    to: map_state(t.to),
+                    from: state_map[t.from.index()],
+                    to: state_map[t.to.index()],
                     guard: t.guard.iter().map(map_guard).collect(),
                     actions: t
                         .actions
@@ -161,9 +195,9 @@ impl MultiNca {
         }
 
         let nca = Nca::new(states, counters, transitions);
-        // The merge maps per-pattern states/transitions 1:1 with no
-        // cross-pattern edges, so the `σ{m,n}` shape that justifies a
-        // queue survives it.
+        // Counted states keep their in-edges' guards and actions (the
+        // shared search state only renames a pure source), so the
+        // `σ{m,n}` shape that justifies a queue survives the merge.
         debug_assert!(
             modes
                 .iter()
@@ -204,7 +238,8 @@ impl MultiNca {
         self.pattern_count
     }
 
-    /// The pattern owning state `q` (`None` for the merged `q0`).
+    /// The pattern owning state `q` (`None` for the merged `q0` and the
+    /// shared `Σ*` search state, which every unanchored pattern shares).
     pub fn pattern_of(&self, q: StateId) -> Option<u32> {
         match self.pattern_of_state[q.index()] {
             u32::MAX => None,
@@ -591,6 +626,42 @@ impl std::fmt::Debug for ShardStream<'_> {
             self.position()
         )
     }
+}
+
+/// The part's `Σ*` search loop, if the merge may fold it into the shared
+/// search state: a pure, non-accepting, full-class state with a self-loop,
+/// entered only from `q0` and itself over unguarded, action-free edges,
+/// whose other out-edges equal `q0`'s other out-edges as a set. Such a
+/// state is live exactly from step 1 on (also after a reset or restart)
+/// with `q0`'s successors, so folding every part's loop into one state
+/// changes no configuration. A part has at most one: a second candidate
+/// is one of `q0`'s successors, hence entered from the first candidate,
+/// which the in-edge condition forbids.
+fn search_loop(nca: &Nca) -> Option<StateId> {
+    let out_edges = |p: StateId, skip: StateId| -> HashSet<(StateId, &[GuardAtom], &[ActionOp])> {
+        nca.transitions_from(p)
+            .filter(|t| t.to != skip)
+            .map(|t| (t.to, &t.guard[..], &t.actions[..]))
+            .collect()
+    };
+    (1..nca.state_count() as u32).map(StateId).find(|&s| {
+        let state = nca.state(s);
+        if !state.class.is_full() || !state.is_pure() || state.is_final() {
+            return false;
+        }
+        let (mut from_init, mut self_loop) = (false, false);
+        for t in nca.transitions_into(s) {
+            if !t.guard.is_empty() || !t.actions.is_empty() {
+                return false;
+            }
+            match t.from {
+                StateId::INIT => from_init = true,
+                p if p == s => self_loop = true,
+                _ => return false,
+            }
+        }
+        from_init && self_loop && out_edges(StateId::INIT, s) == out_edges(s, s)
+    })
 }
 
 /// The byte-class alphabet induced by the union of all parts' state
@@ -1086,7 +1157,7 @@ impl<'a> MultiEngine<'a> {
                     continue;
                 }
                 let pattern = self.multi.pattern_of_state[q];
-                debug_assert_ne!(pattern, u32::MAX, "merged q0 never accepts");
+                debug_assert_ne!(pattern, u32::MAX, "unowned states never accept");
                 if self.report_stamp[pattern as usize] == generation {
                     continue; // this pattern already reported at this offset
                 }
@@ -1219,18 +1290,68 @@ mod tests {
 
     #[test]
     fn state_attribution_covers_all_patterns() {
-        let patterns = ["ab", "cd{2}"];
+        let patterns = ["ab", "cd{2}", "^ef", ".*gh"];
         let m = multi(&patterns);
-        assert_eq!(m.pattern_count(), 2);
+        assert_eq!(m.pattern_count(), patterns.len());
         assert_eq!(m.pattern_of(StateId::INIT), None);
-        let mut seen = vec![false; patterns.len()];
-        for qi in 1..m.nca().state_count() {
-            let p = m
-                .pattern_of(StateId(qi as u32))
-                .expect("non-q0 states are owned");
-            seen[p as usize] = true;
+        let owners: Vec<Option<u32>> = (0..m.nca().state_count())
+            .map(|qi| m.pattern_of(StateId(qi as u32)))
+            .collect();
+        // The only unowned states are `q0` and the shared search state.
+        let unowned: Vec<usize> = (0..owners.len()).filter(|&q| owners[q].is_none()).collect();
+        assert_eq!(unowned, [0, SEARCH_STATE.index()]);
+        let search = m.nca().state(SEARCH_STATE);
+        assert!(search.class.is_full() && search.is_pure() && !search.is_final());
+        // Every pattern owns at least one state, and owned ranges are
+        // contiguous and ascending: the owner sequence never decreases
+        // and never skips a pattern.
+        let owned: Vec<u32> = owners.iter().flatten().copied().collect();
+        assert_eq!(owned.first(), Some(&0));
+        assert_eq!(owned.last(), Some(&(patterns.len() as u32 - 1)));
+        for w in owned.windows(2) {
+            assert!(w[1] == w[0] || w[1] == w[0] + 1, "owners {owned:?}");
         }
-        assert!(seen.iter().all(|&s| s));
+    }
+
+    fn unowned_non_init(m: &MultiNca) -> usize {
+        (1..m.nca().state_count())
+            .filter(|&qi| m.pattern_of(StateId(qi as u32)).is_none())
+            .count()
+    }
+
+    /// Structural pin of the shared search state: 200 unanchored rules
+    /// fold into one `Σ*` state, so the idle frontier no longer scales
+    /// with the rule count.
+    #[test]
+    fn unanchored_rules_share_one_search_state() {
+        let owned_rules: Vec<String> = (0..200).map(|i| format!("k{i:03}z")).collect();
+        let mut patterns: Vec<&str> = owned_rules.iter().map(String::as_str).collect();
+        patterns.extend(["^anchored", "^k{2}"]);
+        let m = multi(&patterns);
+        assert_eq!(unowned_non_init(&m), 1, "exactly one shared search state");
+        // Bytes that start no rule: neither `k` nor `a`.
+        let idle: Vec<u8> = b"the quick brown fox jumps over lzy dog. "
+            .iter()
+            .copied()
+            .cycle()
+            .take(4096)
+            .collect();
+        let mut out = Vec::new();
+        let mut exact = m.engine();
+        exact.feed_into(&idle, &mut out);
+        assert!(exact.active_states() <= 2, "{}", exact.active_states());
+        let mut hybrid = m.hybrid_engine(64);
+        hybrid.feed_into(&idle, &mut out);
+        assert!(hybrid.active_states() <= 2, "{}", hybrid.active_states());
+        assert!(out.is_empty());
+
+        // Anchored-only sets have no search loop to share: no extra state,
+        // and the merged size is the sum of the parts.
+        let anchored = ["^abc", "^x{2,4}y", "^[^\\n]{3}"];
+        let m = multi(&anchored);
+        assert_eq!(unowned_non_init(&m), 0);
+        let parts: usize = anchored.iter().map(|p| stream_nca(p).ste_count()).sum();
+        assert_eq!(m.nca().state_count(), 1 + parts);
     }
 
     #[test]
@@ -1260,8 +1381,8 @@ mod tests {
         for &b in b"purely unrelated traffic ........." {
             engine.step_into(b, &mut out);
         }
-        // Only the Σ* self-loop states (one per unanchored pattern) and
-        // occasional literal heads stay live.
+        // Only the shared Σ* search state and occasional literal heads
+        // stay live.
         assert!(engine.active_states() <= 8, "{}", engine.active_states());
         assert!(out.is_empty());
     }

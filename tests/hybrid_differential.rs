@@ -7,9 +7,16 @@
 //! state, so the subset cache thrashes through flushes) and
 //! counter-heavy rulesets that force the fallback/re-entry path on
 //! nearly every byte.
+//!
+//! The merged automaton folds every unanchored rule's `Σ*` search loop
+//! into one shared state; a pinned ruleset mixes rules on both sides of
+//! that fold's eligibility test and checks them across chunkings,
+//! prefilter modes (the prefilter's `restart_at` wake-ups) and shard
+//! policies.
 
 use proptest::prelude::*;
-use recama::{Engine, Pattern, ScanMode, SetMatch};
+use recama::hw::ShardPolicy;
+use recama::{Engine, Pattern, PrefilterMode, ScanMode, SetMatch};
 
 /// Pattern pool the properties sample rulesets from: the left column is
 /// pure (counter-free after compilation, so the overlay can stay in DFA
@@ -181,4 +188,128 @@ fn scheduler_reports_hybrid_stats_only_in_hybrid_mode() {
     sched.push(1, input);
     sched.run();
     assert_eq!(sched.hybrid_stats(), None, "Nca mode has no overlay");
+}
+
+/// Rules on both sides of the shared search state's eligibility test:
+/// plain unanchored literals (their loops fold), `^`-anchored rules (no
+/// search loop), an anchored loop that is a search loop in all but name
+/// (`^.*wor`, folds) and one that is not (`^[abx]*y`: not a full class),
+/// a second `Σ` position (`.*abc`), counter-first bodies (the search
+/// loop's edges carry counter actions), a body that starts with a full
+/// class, and trailing `$` anchors.
+const SEARCH_EDGE_RULES: &[&str] = &[
+    "hello",
+    "^ab",
+    "^abx{2}y",
+    "^[abx]*y",
+    "^.*wor",
+    "wor[a-z]d$",
+    "[cd]$",
+    ".*abc",
+    ".{3}x",
+    "[^\\n]{10}",
+    "a{2,5}",
+    "[\\x00-\\xff]b",
+];
+
+/// A fixed pseudo-random input over the rules' bytes (newlines and the
+/// byte extremes included) with planted matches, long enough that
+/// 512-byte chunks split it.
+fn search_edge_input() -> Vec<u8> {
+    const BYTES: &[u8] = b"abcdxyhelowr\n. \x00\xff";
+    let mut state = 0x2545_f491_u32;
+    let mut input = b"abxxyhello".to_vec();
+    while input.len() < 1500 {
+        state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+        match state >> 28 {
+            0 => input.extend_from_slice(b"hello world abc"),
+            1 => input.extend_from_slice(b"\naaaaab.cd"),
+            _ => input.push(BYTES[(state >> 8) as usize % BYTES.len()]),
+        }
+    }
+    input.extend_from_slice(b"world");
+    input
+}
+
+/// A stream's reports (every `$` candidate included, in stream order)
+/// and its `$` finishing set.
+type Streamed = (Vec<SetMatch>, Vec<SetMatch>);
+
+fn streamed(engine: &Engine, input: &[u8], chunk_len: usize) -> Streamed {
+    let mut stream = engine.stream();
+    let mut reports = Vec::new();
+    for chunk in input.chunks(chunk_len) {
+        reports.extend(stream.feed(chunk));
+    }
+    (reports, stream.finish())
+}
+
+/// The same pair from one closed scheduler flow (polls, like `feed`,
+/// carry every `$` candidate).
+fn scheduled(engine: &Engine, input: &[u8], chunk_len: usize) -> Streamed {
+    let sched = engine.scheduler_with(2);
+    for chunk in input.chunks(chunk_len) {
+        sched.push(3, chunk);
+    }
+    sched.close(3);
+    sched.run();
+    (sched.poll(3), sched.finishing(3))
+}
+
+#[test]
+fn shared_search_state_eligibility_edges_match_the_oracle() {
+    let input = search_edge_input();
+    let expected = union_of_per_pattern_matches(SEARCH_EDGE_RULES, &input);
+    for (pi, _) in SEARCH_EDGE_RULES.iter().enumerate() {
+        assert!(
+            expected.iter().any(|m| m.pattern == pi),
+            "rule {} must match the input",
+            SEARCH_EDGE_RULES[pi]
+        );
+    }
+    for policy in [ShardPolicy::Single, ShardPolicy::Fixed(3)] {
+        for prefilter in [PrefilterMode::On, PrefilterMode::Off] {
+            let build = |mode| {
+                Engine::builder()
+                    .patterns(SEARCH_EDGE_RULES)
+                    .shard_policy(policy)
+                    .prefilter(prefilter)
+                    .scan_mode(mode)
+                    .build()
+                    .unwrap()
+            };
+            let exact = build(ScanMode::Nca);
+            let hybrid = build(ScanMode::default());
+            let ctx = format!("{policy:?}, prefilter {prefilter:?}");
+            let mut scanned = hybrid.scan(&input);
+            scanned.sort();
+            assert_eq!(scanned, expected, "{ctx}: block scan vs oracle");
+            for chunk_len in [1usize, 7, 512] {
+                let ctx = format!("{ctx}, chunk {chunk_len}");
+                let reference = streamed(&exact, &input, chunk_len);
+                let (reports, finishing) = &reference;
+                let mut resolved: Vec<SetMatch> = reports
+                    .iter()
+                    .filter(|m| !SEARCH_EDGE_RULES[m.pattern].ends_with('$'))
+                    .chain(finishing)
+                    .copied()
+                    .collect();
+                resolved.sort();
+                assert_eq!(resolved, expected, "{ctx}: Nca stream vs oracle");
+                assert_eq!(
+                    streamed(&hybrid, &input, chunk_len),
+                    reference,
+                    "{ctx}: hybrid stream vs Nca stream"
+                );
+                for engine in [&exact, &hybrid] {
+                    assert_eq!(
+                        scheduled(engine, &input, chunk_len),
+                        reference,
+                        "{ctx}: {:?} scheduler vs Nca stream",
+                        engine.scan_mode()
+                    );
+                }
+            }
+        }
+    }
 }
