@@ -1,22 +1,21 @@
-//! Multi-pattern matching throughput: the shared [`PatternSet`] engine
-//! against the loop-over-[`Pattern`] baseline on the synthetic Snort and
+//! Multi-pattern matching throughput: the shared single-shard
+//! [`Engine`] against the loop-over-[`Pattern`] baseline on the synthetic Snort and
 //! Suricata workloads — the software-side payoff of compiling the whole
 //! ruleset into one machine image.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId as CritId, Criterion, Throughput};
 use recama::hw::ShardPolicy;
 use recama::workloads::{generate, traffic, BenchmarkId, PatternClass};
-use recama::{Engine, Pattern, PatternSet};
+use recama::{Engine, Pattern};
 use recama_bench::{scale, seed, traffic_len};
 
 /// The unsharded (single-image) engine the benches compare against.
-fn single_shard(patterns: &[String]) -> recama::ShardedPatternSet {
+fn single_shard(patterns: &[String]) -> Engine {
     Engine::builder()
         .patterns(patterns)
         .shard_policy(ShardPolicy::Single)
         .build()
         .expect("set compiles")
-        .into_set()
 }
 
 fn workload(id: BenchmarkId) -> (Vec<String>, Vec<u8>) {
@@ -43,10 +42,13 @@ fn bench_shared_vs_loop(c: &mut Criterion) {
         group.bench_with_input(
             CritId::new("shared_engine", id.name()),
             &input,
-            |b, input| b.iter(|| set.find_ends(input).len()),
+            |b, input| b.iter(|| set.scan(input).len()),
         );
 
-        let baseline = PatternSet::compile_baseline(&patterns).expect("baseline compiles");
+        let baseline: Vec<Pattern> = patterns
+            .iter()
+            .map(|p| Pattern::compile(p).expect("baseline compiles"))
+            .collect();
         group.bench_with_input(
             CritId::new("pattern_loop", id.name()),
             &input,

@@ -1,13 +1,14 @@
 //! flow-eval: the many-flow serving benchmark. Compiles a Snort-profile
 //! ruleset with [`Engine::builder`], then drives a
-//! [`recama::FlowScheduler`] (`engine.scheduler_with(workers)`) with
-//! `flows` concurrent byte streams delivered in `chunk`-sized
-//! pieces over `rounds` rounds (one chunk per flow per round — the
-//! IDS-tap arrival pattern), for each requested worker-pool size.
-//! Reported per worker count: aggregate throughput (MiB/s, measured on
-//! batched rounds) and p50/p99 per-chunk scheduling latency (measured
-//! in a second pass that times every chunk's push-to-merged
-//! individually, so the p99 reflects real tail chunks).
+//! [`ServiceHandle`] (`engine.serve_with(workers, ..)`) with `flows`
+//! concurrent byte streams delivered in `chunk`-sized pieces over
+//! `rounds` rounds (one chunk per flow per round — the IDS-tap arrival
+//! pattern, with a [`barrier`](ServiceHandle::barrier) after each
+//! round), for each requested worker-pool size. Reported per worker
+//! count: aggregate throughput (MiB/s, measured on batched rounds) and
+//! p50/p99 per-chunk scheduling latency (measured in a second pass that
+//! times every chunk's push-to-merged individually, so the p99 reflects
+//! real tail chunks).
 //!
 //! ```sh
 //! # Defaults: 2%-scale Snort, 32 flows x 8 rounds of 2 KiB chunks,
@@ -18,13 +19,12 @@
 //!     --scale 0.01 --flows 8 --rounds 4 --chunk 512 --workers 1,2 --json
 //! ```
 //!
-//! After the scheduler sweep, a third pass drives the **owned**
-//! [`ServiceHandle`](recama::ServiceHandle) (`engine.serve_with(..)`)
-//! with the same arrival pattern, optionally hot-reloading an identical
-//! engine mid-run (`--reload ROUND`): the `service_metrics` record then
+//! After the worker sweep, a third pass drives one more handle with the
+//! same arrival pattern, optionally hot-reloading an identical engine
+//! mid-run (`--reload ROUND`): the `service_metrics` record then
 //! carries the handle's [`ServiceMetrics`](recama::ServiceMetrics)
 //! snapshot, the reload wall-clock, and whether the mid-run swap lost
-//! any matches against the scheduler baseline.
+//! any matches against the first worker-sweep pass.
 //!
 //! A final **prefilter pass** measures the literal-prefilter (MPM)
 //! subsystem on the workload it targets: a SpamAssassin-profile ruleset
@@ -40,12 +40,12 @@
 //! `--shards N`, `--scale F`, `--seed S`, `--reload ROUND` (hot-reload
 //! before that 0-based round in the service pass), `--benign` (deliver
 //! benign background bytes instead of planted-match traffic in the
-//! scheduler/service passes), `--json` (print ONLY the JSON document to
-//! stdout; the human-readable report moves to stderr).
+//! worker-sweep and service passes), `--json` (print ONLY the JSON
+//! document to stdout; the human-readable report moves to stderr).
 
 use recama::hw::ShardPolicy;
 use recama::workloads::{generate, traffic, BenchmarkId};
-use recama::{Engine, FlowId, HybridStats, PrefilterMode};
+use recama::{Engine, FlowId, HybridStats, PrefilterMode, ServiceHandle};
 use recama_bench::{ms, seed};
 use std::time::{Duration, Instant};
 
@@ -121,6 +121,34 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
     sorted[rank]
 }
 
+/// A handle over `engine` with `workers` workers and `flows` open flows.
+fn serve_flows(engine: &Engine, workers: usize, flows: usize) -> (ServiceHandle, Vec<FlowId>) {
+    let svc = engine.serve_with(workers, engine.serve_config());
+    let ids = (0..flows).map(|_| svc.open_flow()).collect();
+    (svc, ids)
+}
+
+/// Pushes round `round` (one `chunk`-byte slice per flow), then waits
+/// until every pushed byte is scanned.
+fn push_round(
+    svc: &ServiceHandle,
+    ids: &[FlowId],
+    streams: &[Vec<u8>],
+    round: usize,
+    chunk: usize,
+) {
+    let at = round * chunk;
+    for (id, bytes) in ids.iter().zip(streams) {
+        svc.push(*id, &bytes[at..at + chunk]);
+    }
+    svc.barrier();
+}
+
+/// Drains every flow's reports and counts them.
+fn poll_hits(svc: &ServiceHandle, ids: &[FlowId]) -> usize {
+    ids.iter().map(|id| svc.poll(*id).len()).sum()
+}
+
 fn main() {
     let config = parse_args();
     let say = |line: String| {
@@ -165,40 +193,36 @@ fn main() {
 
     let mut results: Vec<WorkerResult> = Vec::new();
     for &workers in &config.workers {
-        // Throughput pass: one chunk per flow per round, batched runs —
-        // the arrival pattern an IDS tap sees.
-        let sched = engine.scheduler_with(workers);
+        // Throughput pass: one chunk per flow per round, a barrier per
+        // round — the arrival pattern an IDS tap sees.
+        let (svc, ids) = serve_flows(&engine, workers, config.flows);
         let run = Instant::now();
         for round in 0..config.rounds {
-            let at = round * config.chunk;
-            for (fi, bytes) in streams.iter().enumerate() {
-                sched.push(fi as u64, &bytes[at..at + config.chunk]);
-            }
-            sched.run();
+            push_round(&svc, &ids, &streams, round, config.chunk);
         }
         let elapsed = run.elapsed();
         // Sample the overlay counters before polling: flows stay open
         // (never closed), so every shard engine is still live.
-        let overlay = sched.hybrid_stats();
-        let hits: usize = (0..config.flows)
-            .map(|fi| sched.poll(fi as u64).len())
-            .sum();
+        let overlay = svc.metrics().hybrid;
+        let hits = poll_hits(&svc, &ids);
+        svc.shutdown();
 
         // Latency pass: one chunk scheduled at a time, each timed
         // push-to-merged individually, so the percentiles are a real
         // per-chunk distribution (flows x rounds samples) and a single
         // slow chunk is not averaged away into a round mean.
-        let sched = engine.scheduler_with(workers);
+        let (svc, ids) = serve_flows(&engine, workers, config.flows);
         let mut per_chunk: Vec<Duration> = Vec::with_capacity(config.flows * config.rounds);
         for round in 0..config.rounds {
             let at = round * config.chunk;
-            for (fi, bytes) in streams.iter().enumerate() {
+            for (id, bytes) in ids.iter().zip(&streams) {
                 let t = Instant::now();
-                sched.push(fi as u64, &bytes[at..at + config.chunk]);
-                sched.run();
+                svc.push(*id, &bytes[at..at + config.chunk]);
+                svc.barrier();
                 per_chunk.push(t.elapsed());
             }
         }
+        svc.shutdown();
         per_chunk.sort();
         results.push(WorkerResult {
             workers,
@@ -251,11 +275,10 @@ fn main() {
         }
     }
 
-    // ---- owned-service pass -----------------------------------------
-    // The same arrival pattern through `Engine::serve_with` (owned
-    // ServiceHandle: condvar-parked workers, generational FlowIds),
-    // optionally hot-reloading an identical engine mid-run. With no
-    // reload the service must report exactly the scheduler's matches;
+    // ---- reload pass ------------------------------------------------
+    // The same arrival pattern through one more handle, optionally
+    // hot-reloading an identical engine mid-run. With no reload the
+    // pass must report exactly the first worker-sweep pass's matches;
     // with one, the only tolerated difference is a match straddling the
     // migration cut (checked warn-only in CI).
     let service_workers = *config.workers.last().expect("workers is non-empty");
@@ -267,8 +290,7 @@ fn main() {
             .build()
             .expect("lossy builds are infallible")
     });
-    let svc = engine.serve_with(service_workers, engine.serve_config());
-    let ids: Vec<FlowId> = (0..config.flows).map(|_| svc.open_flow()).collect();
+    let (svc, ids) = serve_flows(&engine, service_workers, config.flows);
     let run = Instant::now();
     let mut reload_wall = Duration::ZERO;
     for round in 0..config.rounds {
@@ -280,14 +302,10 @@ fn main() {
             svc.reload(reload_engine.as_ref().expect("built when --reload is set"));
             reload_wall = t.elapsed();
         }
-        let at = round * config.chunk;
-        for (fi, bytes) in streams.iter().enumerate() {
-            svc.push(ids[fi], &bytes[at..at + config.chunk]);
-        }
-        svc.barrier();
+        push_round(&svc, &ids, &streams, round, config.chunk);
     }
     let service_elapsed = run.elapsed();
-    let service_hits: usize = ids.iter().map(|id| svc.poll(*id).len()).sum();
+    let service_hits = poll_hits(&svc, &ids);
     let metrics = svc.metrics();
     svc.shutdown();
 
@@ -296,12 +314,12 @@ fn main() {
     match config.reload {
         None => assert!(
             reload_lossless,
-            "without a reload the service must report exactly the scheduler's matches \
-             (service {service_hits} vs scheduler {baseline_hits})"
+            "without a reload the service must report exactly the worker sweep's matches \
+             (service {service_hits} vs sweep {baseline_hits})"
         ),
         Some(round) => say(format!(
             "\nhot reload before round {round}: {:.2} ms wall, {} (service {service_hits} vs \
-             scheduler {baseline_hits})",
+             sweep {baseline_hits})",
             ms(reload_wall),
             if reload_lossless {
                 "zero loss"
@@ -324,7 +342,7 @@ fn main() {
     // above keeps its always-on Σ*-family rules in every shard, so
     // skipping never engages there) scanned over a benign and a
     // hit-heavy corpus, with the filter on and off. Same arrival
-    // pattern as the scheduler pass.
+    // pattern as the worker sweep.
     let spam_rules = generate(BenchmarkId::SpamAssassin, config.scale, config.seed);
     let spam_patterns = spam_rules.pattern_strings();
     let spam_engine = |mode: PrefilterMode| {
@@ -359,22 +377,17 @@ fn main() {
         let mut stats = None;
         let mut hits = 0usize;
         for _ in 0..3 {
-            let sched = engine.scheduler_with(service_workers);
+            let (svc, ids) = serve_flows(engine, service_workers, config.flows);
             let run = Instant::now();
             for round in 0..config.rounds {
-                let at = round * config.chunk;
-                for (fi, bytes) in streams.iter().enumerate() {
-                    sched.push(fi as u64, &bytes[at..at + config.chunk]);
-                }
-                sched.run();
+                push_round(&svc, &ids, streams, round, config.chunk);
             }
             let elapsed = run.elapsed();
             best = best.max(mib / elapsed.as_secs_f64());
             // Counters are deterministic, so any run's snapshot serves.
-            stats = sched.prefilter_stats();
-            hits = (0..config.flows)
-                .map(|fi| sched.poll(fi as u64).len())
-                .sum();
+            stats = svc.metrics().prefilter;
+            hits = poll_hits(&svc, &ids);
+            svc.shutdown();
         }
         (best, stats, hits)
     };

@@ -1,5 +1,5 @@
 //! Guards the many-flow scheduling acceptance claims on a synthetic
-//! Snort workload: per-flow [`FlowScheduler`] reports must be
+//! Snort workload: per-flow [`ServiceHandle`] reports must be
 //! **byte-identical** to independent per-flow streams regardless of the
 //! worker count, and — on machines with at least four cores — aggregate
 //! throughput must scale at least 1.5x from one worker to four. The
@@ -9,29 +9,34 @@
 
 use recama::hw::ShardPolicy;
 use recama::workloads::{generate, traffic, BenchmarkId, PatternClass};
-use recama::{Engine, SetMatch};
+use recama::{Engine, FlowId, RuleMatch, ServeConfig, ServiceHandle};
 use std::time::Instant;
 
 const FLOWS: usize = 16;
 const CHUNK: usize = 2048;
 const ROUNDS: usize = 8;
 
-/// One full serving pass: round-robin chunk pushes with a run per round,
-/// returning (wall time, total hits).
-fn serve(engine: &Engine, streams: &[Vec<u8>], workers: usize) -> (std::time::Duration, usize) {
-    let sched = engine.scheduler_with(workers);
-    let start = Instant::now();
+/// Round-robin chunk pushes over one open flow per stream, with a
+/// barrier per round; returns the handle and the flow ids.
+fn push_all(engine: &Engine, streams: &[Vec<u8>], workers: usize) -> (ServiceHandle, Vec<FlowId>) {
+    let svc = engine.serve_with(workers, ServeConfig::default());
+    let ids: Vec<FlowId> = streams.iter().map(|_| svc.open_flow()).collect();
     for round in 0..ROUNDS {
         let at = round * CHUNK;
-        for (fi, bytes) in streams.iter().enumerate() {
-            sched.push(fi as u64, &bytes[at..at + CHUNK]);
+        for (id, bytes) in ids.iter().zip(streams) {
+            svc.push(*id, &bytes[at..at + CHUNK]);
         }
-        sched.run();
+        svc.barrier();
     }
+    (svc, ids)
+}
+
+/// One full serving pass, returning (wall time, total hits).
+fn serve(engine: &Engine, streams: &[Vec<u8>], workers: usize) -> (std::time::Duration, usize) {
+    let start = Instant::now();
+    let (svc, ids) = push_all(engine, streams, workers);
     let elapsed = start.elapsed();
-    let hits = (0..streams.len())
-        .map(|fi| sched.poll(fi as u64).len())
-        .sum();
+    let hits = ids.iter().map(|id| svc.poll(*id).len()).sum();
     (elapsed, hits)
 }
 
@@ -63,24 +68,21 @@ fn flow_scheduler_is_byte_identical_and_scales_with_workers() {
     // Acceptance: per-flow reports equal independent per-flow streams,
     // for 1 worker and 4 workers alike. Serves as warm-up for timing.
     for workers in [1usize, 4] {
-        let sched = engine.scheduler_with(workers);
-        for round in 0..ROUNDS {
-            let at = round * CHUNK;
-            for (fi, bytes) in streams.iter().enumerate() {
-                sched.push(fi as u64, &bytes[at..at + CHUNK]);
-            }
-            sched.run();
-        }
+        let (svc, ids) = push_all(&engine, &streams, workers);
         for (fi, bytes) in streams.iter().enumerate() {
             let mut stream = engine.stream();
-            let mut expected: Vec<SetMatch> = Vec::new();
+            let mut expected: Vec<RuleMatch> = Vec::new();
             for chunk in bytes.chunks(CHUNK) {
-                expected.extend(stream.feed(chunk));
+                // Default rule ids: the rule id is the pattern index.
+                expected.extend(stream.feed(chunk).map(|m| RuleMatch {
+                    rule: m.pattern as u64,
+                    end: m.end as u64,
+                }));
             }
             assert_eq!(
-                sched.poll(fi as u64),
+                svc.poll(ids[fi]),
                 expected,
-                "{workers} worker(s), flow {fi}: scheduler diverges from its stream"
+                "{workers} worker(s), flow {fi}: service diverges from its stream"
             );
         }
     }

@@ -1,6 +1,6 @@
 //! Guards the acceptance claim of the multi-pattern subsystem: on the
 //! 1%-scale synthetic Snort workload, one scan of the shared
-//! [`PatternSet`] engine is faster than running every [`Pattern`] engine
+//! single-shard [`Engine`] is faster than running every [`Pattern`] engine
 //! over the input separately. The margin is enormous (the loop pays
 //! per-pattern full-automaton sweeps per byte; the shared engine visits
 //! only the live frontier once), so a plain faster-than assertion is
@@ -8,7 +8,7 @@
 
 use recama::hw::ShardPolicy;
 use recama::workloads::{generate, traffic, BenchmarkId, PatternClass};
-use recama::{Engine, PatternSet};
+use recama::{Engine, Pattern};
 use std::time::Instant;
 
 #[test]
@@ -32,12 +32,14 @@ fn shared_engine_beats_pattern_loop_on_snort() {
         .patterns(&patterns)
         .shard_policy(ShardPolicy::Single)
         .build()
-        .expect("set compiles")
-        .into_set();
-    let baseline = PatternSet::compile_baseline(&patterns).expect("baseline compiles");
+        .expect("set compiles");
+    let baseline: Vec<Pattern> = patterns
+        .iter()
+        .map(|p| Pattern::compile(p).expect("baseline compiles"))
+        .collect();
 
     // Warm-up + correctness cross-check in the same pass.
-    let shared_hits = set.find_ends(&input).len();
+    let shared_hits = set.scan(&input).len();
     let loop_hits: usize = baseline.iter().map(|p| p.find_ends(&input).len()).sum();
     assert_eq!(
         shared_hits, loop_hits,
@@ -45,7 +47,7 @@ fn shared_engine_beats_pattern_loop_on_snort() {
     );
 
     let start = Instant::now();
-    let n = set.find_ends(&input).len();
+    let n = set.scan(&input).len();
     let shared_time = start.elapsed();
 
     let start = Instant::now();

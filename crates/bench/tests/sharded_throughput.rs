@@ -1,6 +1,6 @@
 //! Guards the sharding acceptance claims on a synthetic Snort workload:
 //! the sharded parallel scan must be **byte-identical** to the unsharded
-//! [`PatternSet`] scan (reports *and* order), and — on machines with at
+//! ([`ShardPolicy::Single`]) scan (reports *and* order), and — on machines with at
 //! least four cores — the parallel multi-engine must beat the single
 //! shared engine. The timing half is skipped on smaller machines (a
 //! 1-core CI box cannot demonstrate parallel speedup); use
@@ -35,21 +35,19 @@ fn sharded_scan_is_byte_identical_and_scales_with_cores() {
         .patterns(&patterns)
         .shard_policy(ShardPolicy::Single)
         .build()
-        .expect("single set compiles")
-        .into_set();
+        .expect("single set compiles");
     let sharded = Engine::builder()
         .patterns(&patterns)
         .shard_policy(ShardPolicy::Fixed(shards))
         .build()
-        .expect("sharded set compiles")
-        .into_set();
+        .expect("sharded set compiles");
     assert_eq!(sharded.shard_count(), shards);
 
     // Acceptance: byte-identical reports, same order, no sort. This also
     // serves as the warm-up pass for the timing below.
-    let expected = single.find_ends(&input);
+    let expected = single.scan(&input);
     assert_eq!(
-        sharded.find_ends(&input),
+        sharded.scan(&input),
         expected,
         "sharded parallel scan diverges from the single shared engine"
     );
@@ -66,8 +64,8 @@ fn sharded_scan_is_byte_identical_and_scales_with_cores() {
             .min()
             .expect("three samples")
     };
-    let (single_time, n) = best(&|| single.find_ends(&input).len());
-    let (sharded_time, m) = best(&|| sharded.find_ends(&input).len());
+    let (single_time, n) = best(&|| single.scan(&input).len());
+    let (sharded_time, m) = best(&|| sharded.scan(&input).len());
     assert_eq!(n, m);
 
     println!(

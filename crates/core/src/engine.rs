@@ -16,20 +16,20 @@
 //!   source text, and pipeline phase;
 //! * the `Engine` then hands out the per-use handles:
 //!   [`scan`](Engine::scan) / [`scan_spans`](Engine::scan_spans) for
-//!   block mode, [`stream`](Engine::stream) for one resumable flow,
-//!   [`serve`](Engine::serve) for the owned, long-lived
+//!   block mode, [`stream`](Engine::stream) for one resumable flow, and
+//!   [`serve`](Engine::serve) for many flows: the owned, long-lived
 //!   [`ServiceHandle`] with backpressure, idle-flow eviction, and hot
-//!   reload, and [`scheduler`](Engine::scheduler) for batch many-flow
-//!   scanning — a thin batch layer over a `ServiceHandle`.
+//!   reload.
 //!
-//! The builder is the only way to compile a ruleset.
+//! The builder is the only way to compile a ruleset. A single-bank
+//! (unsharded) machine image is the same builder with
+//! [`ShardPolicy::Single`].
 
 use crate::prefilter::PrefilterMode;
 #[cfg(feature = "fault-inject")]
 use crate::service::FaultPlan;
 use crate::service::ServiceHandle;
 use crate::set::{SetMatch, SetSpan, ShardedPatternSet, ShardedSetStream};
-use crate::FlowScheduler;
 use recama_compiler::{CompileOptions, CompileOutput};
 use recama_hw::{ShardPlan, ShardPolicy};
 use recama_mnrl::MnrlNetwork;
@@ -43,20 +43,14 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompilePhase {
     /// Parsing / fragment support (`syntax`): the only phase that can
-    /// currently fail — mapping and sharding are total.
+    /// fail — mapping and sharding are total.
     Parse,
-    /// Module selection and MNRL mapping (`compiler`).
-    Map,
-    /// Bank-aware shard planning (`hw`).
-    Shard,
 }
 
 impl fmt::Display for CompilePhase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             CompilePhase::Parse => "parse",
-            CompilePhase::Map => "map",
-            CompilePhase::Shard => "shard",
         })
     }
 }
@@ -340,24 +334,22 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the worker-thread count [`Engine::serve`],
-    /// [`Engine::into_service`], and [`Engine::scheduler`] spawn (at
-    /// least one).
+    /// Sets the worker-thread count [`Engine::serve`] spawns (at least
+    /// one).
     pub fn workers(mut self, workers: usize) -> EngineBuilder {
         self.workers = workers.max(1);
         self
     }
 
-    /// Sets the [`ServeConfig`] new owned handles ([`Engine::serve`],
-    /// [`Engine::into_service`]) start with. Default:
-    /// [`ServeConfig::default`].
+    /// Sets the [`ServeConfig`] handles from [`Engine::serve`] start
+    /// with. Default: [`ServeConfig::default`].
     pub fn serve_config(mut self, config: ServeConfig) -> EngineBuilder {
         self.serve = config;
         self
     }
 
-    /// Sets the [`ScanMode`] every scan, stream, scheduler, and service
-    /// handle of the built engine walks bytes with. The default,
+    /// Sets the [`ScanMode`] every scan, stream, and service handle of
+    /// the built engine walks bytes with. The default,
     /// [`ScanMode::Hybrid`] with
     /// [`DEFAULT_STATE_BUDGET`](recama_nca::DEFAULT_STATE_BUDGET)
     /// cached DFA states per engine, overlays a lazy DFA on the pure
@@ -373,8 +365,8 @@ impl EngineBuilder {
 
     /// Sets the [`PrefilterMode`]. The default, [`PrefilterMode::On`],
     /// extracts a required literal per rule at compile time and builds
-    /// one Aho-Corasick filter per shard; scans, streams, schedulers,
-    /// and service handles then skip any `(flow, shard)` unit whose
+    /// one Aho-Corasick filter per shard; scans, streams, and service
+    /// handles then skip any `(flow, shard)` unit whose
     /// filter has seen no candidate — with output byte-identical to
     /// [`PrefilterMode::Off`], which disables the filter entirely (the
     /// escape hatch, and the measuring stick for the filter's effect).
@@ -471,8 +463,7 @@ impl EngineBuilder {
 }
 
 /// A compiled ruleset behind one facade: block scans, span location,
-/// resumable streams, batch many-flow scheduling, and long-lived flow
-/// serving — all from a single [`builder`](Engine::builder)-built
+/// resumable streams, and long-lived many-flow serving — all from a single [`builder`](Engine::builder)-built
 /// artifact.
 ///
 /// ```
@@ -608,9 +599,7 @@ impl Engine {
         self.set.hardware(shard)
     }
 
-    /// The worker-thread count [`serve`](Engine::serve),
-    /// [`into_service`](Engine::into_service), and
-    /// [`scheduler`](Engine::scheduler) spawn.
+    /// The worker-thread count [`serve`](Engine::serve) spawns.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -633,18 +622,6 @@ impl Engine {
     /// layer (per-shard automata, spans, per-shard hardware).
     pub fn set(&self) -> &ShardedPatternSet {
         &self.set
-    }
-
-    /// Unwraps the engine into its underlying [`ShardedPatternSet`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if an owned [`ServiceHandle`] (from [`Engine::serve`]) is
-    /// still sharing the set as a live serving epoch.
-    pub fn into_set(self) -> ShardedPatternSet {
-        Arc::try_unwrap(self.set).unwrap_or_else(|_| {
-            panic!("Engine::into_set while a ServiceHandle still serves this engine's set")
-        })
     }
 
     // ---- block mode -------------------------------------------------
@@ -678,23 +655,9 @@ impl Engine {
         self.set.stream()
     }
 
-    /// A batch many-flow scheduler (`push`/`run`/`poll` cycles, raw
-    /// `u64` flow ids) over this engine, with the configured
-    /// [`workers`](EngineBuilder::workers). It drives an owned
-    /// [`ServiceHandle`] with [`ServeConfig::default`] and inherits the
-    /// engine's fault-injection plan.
-    pub fn scheduler(&self) -> FlowScheduler<'_> {
-        FlowScheduler::new(self, self.workers)
-    }
-
-    /// Like [`scheduler`](Engine::scheduler) with an explicit worker
-    /// count — for sweeps over the parallelism knob.
-    pub fn scheduler_with(&self, workers: usize) -> FlowScheduler<'_> {
-        FlowScheduler::new(self, workers)
-    }
-
-    /// Spawns an owned, `'static` flow-serving handle over this engine:
-    /// worker threads start (condvar-parked) immediately, live for the
+    /// Spawns an owned, `'static` flow-serving handle over this engine,
+    /// configured from the builder ([`EngineBuilder::workers`],
+    /// [`EngineBuilder::serve_config`]): worker threads start (condvar-parked) immediately, live for the
     /// handle's whole life, and are joined on
     /// [`shutdown`](ServiceHandle::shutdown) / `Drop` — no enclosing
     /// scope required, so the service embeds directly in a server's
@@ -709,13 +672,6 @@ impl Engine {
     /// [`ServeConfig`].
     pub fn serve_with(&self, workers: usize, config: ServeConfig) -> ServiceHandle {
         ServiceHandle::spawn(self, workers.max(1), config)
-    }
-
-    /// Consumes the engine into an owned [`ServiceHandle`] configured
-    /// from the builder ([`EngineBuilder::workers`],
-    /// [`EngineBuilder::serve_config`]).
-    pub fn into_service(self) -> ServiceHandle {
-        self.serve()
     }
 
     /// The [`ServeConfig`] new owned handles start with (set via

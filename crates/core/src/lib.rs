@@ -45,7 +45,6 @@ pub use recama_workloads as workloads;
 
 mod engine;
 mod prefilter;
-pub mod sched;
 mod service;
 mod set;
 
@@ -55,13 +54,12 @@ pub use engine::{
 };
 pub use prefilter::{PrefilterMetrics, PrefilterMode};
 pub use recama_nca::{HybridStats, ScanMode, DEFAULT_STATE_BUDGET};
-pub use sched::{FlowMatch, FlowScheduler};
 #[cfg(feature = "fault-inject")]
 pub use service::FaultPlan;
 pub use service::{
     FaultMetrics, FlowId, RuleMatch, ServeError, ServiceEvent, ServiceHandle, ServiceMetrics,
 };
-pub use set::{PatternSet, SetMatch, SetSpan, SetStream, ShardedPatternSet, ShardedSetStream};
+pub use set::{SetMatch, SetSpan, ShardedPatternSet, ShardedSetStream};
 
 use recama_compiler::{compile, CompileOptions, CompileOutput};
 // The nca `Engine` trait is imported anonymously: only its methods are

@@ -53,9 +53,8 @@ pub enum PrefilterMode {
 
 /// Prefilter counters, reported beside
 /// [`HybridStats`](crate::HybridStats) by
-/// [`ServiceMetrics`](crate::ServiceMetrics) and
-/// [`FlowScheduler::prefilter_stats`](crate::FlowScheduler::prefilter_stats)
-/// (`None` under [`PrefilterMode::Off`]).
+/// [`ServiceMetrics`](crate::ServiceMetrics) (`None` under
+/// [`PrefilterMode::Off`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PrefilterMetrics {
     /// Per shard: `(flow, shard)` chunk scans skipped because the unit
@@ -85,9 +84,9 @@ impl PrefilterMetrics {
     }
 }
 
-/// Auto-resizing per-shard counter vector — the one accumulation
-/// primitive shared by the scheduler's and the service's metrics paths
-/// (scan counts, scan bytes, and both prefilter counters all use it).
+/// Auto-resizing per-shard counter vector — the accumulation primitive
+/// of the service's metrics (scan counts, scan bytes, and both
+/// prefilter counters all use it).
 #[derive(Debug, Default, Clone)]
 pub(crate) struct PerShard(Vec<u64>);
 
@@ -109,8 +108,8 @@ impl PerShard {
     }
 }
 
-/// Mutable prefilter counters for one serving layer (scheduler or
-/// service); snapshotted into [`PrefilterMetrics`].
+/// Mutable prefilter counters of one service; snapshotted into
+/// [`PrefilterMetrics`].
 #[derive(Debug, Default)]
 pub(crate) struct PrefilterCounters {
     pub(crate) skipped_units: PerShard,
@@ -486,8 +485,8 @@ impl SetPrefilter {
 
     /// Decides what a cold-capable `(flow, shard)` unit does with a
     /// chunk starting at absolute offset `chunk_start` (≥ `base`, the
-    /// position the unit's engine counts from — 0 for schedulers and
-    /// streams, the epoch base for the service). Hot units and
+    /// position the unit's engine counts from — 0 for streams, the
+    /// epoch base for the service). Hot units and
     /// filterless shards always scan.
     pub(crate) fn chunk_action(
         &self,

@@ -2,12 +2,14 @@
 //! serving loop over an [`Engine`](crate::Engine) — with epoch-based
 //! hot rule reload, a generational flow table, and a metrics snapshot.
 //!
-//! This module is the crate's one scheduling core: the readiness queue,
-//! the `(flow, shard)` checkout and check-in around an unlocked scan,
-//! the watermark-ordered report merge, `$` finishing, and prefilter
-//! skip/replay all live here. [`FlowScheduler`](crate::FlowScheduler)
-//! is a thin batch layer over a handle (raw `u64` flow ids, `run` =
-//! [`barrier`](ServiceHandle::barrier)).
+//! The paper evaluates CAMA as an IDS-class engine (Snort/Suricata
+//! rulesets), and the workload such an engine serves is not one byte
+//! stream but thousands of concurrent flows delivering interleaved
+//! chunks. This module is the crate's one scheduling core for that
+//! workload: the readiness queue, the `(flow, shard)` checkout and
+//! check-in around an unlocked scan (two workers can advance different
+//! shards of the same flow), the watermark-ordered report merge, `$`
+//! finishing, and prefilter skip/replay all live here.
 //!
 //! The serving lifecycle: workers stay parked on the readiness condvar
 //! between bursts, producers are pushed back when a flow buffers faster
@@ -60,8 +62,7 @@ use crate::engine::{CompileError, Engine, EngineBuilder, FaultPolicy, ServeConfi
 use crate::prefilter::{
     ChunkAction, PerShard, PrefilterCounters, PrefilterMetrics, PrefilterState,
 };
-use crate::sched::Segment;
-use crate::{FlowMatch, SetMatch, ShardedPatternSet};
+use crate::ShardedPatternSet;
 use recama_nca::{HybridStats, MultiReport, ScanMode, ShardStreamState};
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -369,40 +370,20 @@ impl FaultPlan {
 
 // ---- internal state -------------------------------------------------
 
-/// A merged match as stored per flow: stable rule id for the
-/// [`FlowId`] API, epoch-local pattern index for the pattern-indexed
-/// [`FlowScheduler`](crate::FlowScheduler), absolute end.
-#[derive(Debug, Clone, Copy)]
-struct StoredMatch {
-    rule: u64,
-    pattern: u32,
-    end: u64,
+/// A buffered input chunk: `bytes` starts at absolute stream offset
+/// `start` within its flow. Chunks are `Arc`-shared so workers can scan
+/// them outside the service lock while slower shards still reference
+/// them.
+#[derive(Clone)]
+struct Segment {
+    start: u64,
+    bytes: Arc<[u8]>,
 }
 
-impl StoredMatch {
-    fn rule_match(self) -> RuleMatch {
-        RuleMatch {
-            rule: self.rule,
-            end: self.end,
-        }
+impl Segment {
+    fn end(&self) -> u64 {
+        self.start + self.bytes.len() as u64
     }
-
-    fn set_match(self) -> SetMatch {
-        SetMatch {
-            pattern: self.pattern as usize,
-            end: self.end as usize,
-        }
-    }
-}
-
-/// A merged match in the global sink, carrying both addressings.
-#[derive(Debug, Clone, Copy)]
-struct SinkEvent {
-    flow: FlowId,
-    raw: Option<u64>,
-    rule: u64,
-    pattern: u32,
-    end: u64,
 }
 
 /// One engine installed behind the epoch counter. The `Arc`ed machine
@@ -444,9 +425,6 @@ struct OwnedShardSlot {
 /// Per-flow state in the slab: buffered input, one [`OwnedShardSlot`]
 /// per shard of the flow's epoch, and the merged in-order report queue.
 struct OwnedFlow {
-    /// The raw u64 id, when the flow came in through the
-    /// [`FlowScheduler`](crate::FlowScheduler)'s u64 addressing.
-    raw: Option<u64>,
     /// The epoch whose engines this flow's shard slots hold.
     epoch: u64,
     /// Set once the flow's engines were freed and its epoch pin
@@ -462,14 +440,14 @@ struct OwnedFlow {
     closed: bool,
     /// Empty once a closed flow has fully drained (engines freed).
     shards: Vec<OwnedShardSlot>,
-    reports: VecDeque<StoredMatch>,
+    reports: VecDeque<RuleMatch>,
     /// Last `$`-anchored candidate per (epoch-local) pattern, so
     /// closing the flow can resolve which land on the final byte.
     /// Cleared at migration: old candidates cannot end at the final
     /// byte once more bytes arrive.
     dollar: HashMap<u32, u64>,
     /// The resolved finishing set of a finished flow, until drained.
-    finishing: Vec<StoredMatch>,
+    finishing: Vec<RuleMatch>,
     /// Last `window` bytes of the flow since the epoch base, kept while
     /// any shard is cold so a prefilter wake-up can replay the bytes a
     /// match may have started in. Cleared at migration (fresh engines
@@ -550,10 +528,6 @@ struct MetricsAcc {
 struct ServeState {
     slots: Vec<Slot>,
     free: Vec<u32>,
-    /// Raw u64-addressed flows (the scheduler's addressing): raw id →
-    /// current incarnation. Entries always point at occupied slots
-    /// (removed at slot free).
-    raw: HashMap<u64, FlowId>,
     /// Open (not yet closed/evicted) flows — the quantity
     /// [`ServeConfig::max_flows`](crate::ServeConfig::max_flows)
     /// bounds.
@@ -570,7 +544,7 @@ struct ServeState {
     /// `pending_bytes` under a million-flow table.
     buffered_total: u64,
     /// Global sink: every merged match, attributed to its flow.
-    sink: Vec<SinkEvent>,
+    sink: Vec<ServiceEvent>,
     /// Workers drain and exit instead of parking.
     shutdown: bool,
     /// Set when a worker panicked mid-scan: its `(flow, shard)` engine
@@ -604,7 +578,6 @@ impl ServeState {
         ServeState {
             slots: Vec::new(),
             free: Vec::new(),
-            raw: HashMap::new(),
             open_count: 0,
             epochs: vec![EpochEngine {
                 epoch: 0,
@@ -690,7 +663,7 @@ impl ServeState {
 
     /// Opens a fresh flow on the current epoch, evicting the LRU
     /// drained flow first when the table is at its budget.
-    fn open(&mut self, raw: Option<u64>, cfg: &ServeConfig) -> FlowId {
+    fn open(&mut self, cfg: &ServeConfig) -> FlowId {
         if self.open_count >= cfg.max_flows && !self.evict_lru() {
             // Nothing evictable: the table overshoots, visibly.
             self.metrics.backpressure += 1;
@@ -706,7 +679,6 @@ impl ServeState {
             seq
         };
         let flow = Box::new(OwnedFlow {
-            raw,
             epoch,
             epoch_released: false,
             base: 0,
@@ -753,9 +725,6 @@ impl ServeState {
             generation: self.slots[index as usize].generation,
         };
         self.open_count += 1;
-        if let Some(raw) = raw {
-            self.raw.insert(raw, id);
-        }
         id
     }
 
@@ -767,11 +736,6 @@ impl ServeState {
         let flow = slot.flow.take().expect("freeing an occupied slot");
         slot.generation = slot.generation.wrapping_add(1);
         self.free.push(id.index);
-        if let Some(raw) = flow.raw {
-            if self.raw.get(&raw) == Some(&id) {
-                self.raw.remove(&raw);
-            }
-        }
         if !flow.closed {
             self.open_count -= 1;
         }
@@ -1210,13 +1174,12 @@ impl ServeState {
             // `close` on a finished flow lands here.
             return;
         }
-        let raw = f.raw;
         let (set, ids) = {
             let e = self.epoch_entry(f.epoch);
             (Arc::clone(&e.set), Arc::clone(&e.ids))
         };
         let anchored = set.anchored_end();
-        let mut events: Vec<SinkEvent> = Vec::new();
+        let mut events: Vec<ServiceEvent> = Vec::new();
         let f = self
             .flow_mut(id)
             .expect("merge_ready: flow is still live here");
@@ -1236,16 +1199,10 @@ impl ServeState {
                 f.dollar.insert(r.pattern, r.end);
             }
             let rule = ids[r.pattern as usize];
-            f.reports.push_back(StoredMatch {
-                rule,
-                pattern: r.pattern,
-                end: r.end,
-            });
-            events.push(SinkEvent {
+            f.reports.push_back(RuleMatch { rule, end: r.end });
+            events.push(ServiceEvent {
                 flow: id,
-                raw,
                 rule,
-                pattern: r.pattern,
                 end: r.end,
             });
         }
@@ -1288,9 +1245,8 @@ impl ServeState {
             .collect();
         finals.sort_unstable();
         f.finishing
-            .extend(finals.into_iter().map(|pattern| StoredMatch {
+            .extend(finals.into_iter().map(|pattern| RuleMatch {
                 rule: ids[pattern as usize],
-                pattern,
                 end: total,
             }));
         f.epoch_released = true;
@@ -1313,49 +1269,6 @@ impl ServeState {
         }
         self.merge_ready(id);
         self.try_finish(id);
-    }
-
-    // ---- raw-u64 addressing (the FlowScheduler's) --------------------
-
-    /// Resolves a raw id to the flow a push should land on: the live
-    /// incarnation, a fresh reopened one if the old finished draining
-    /// (carrying its undrained reports forward), or `None`
-    /// while the flow is closed but not yet drained.
-    fn raw_push_target(&mut self, raw: u64, cfg: &ServeConfig) -> Option<FlowId> {
-        match self.raw.get(&raw).copied() {
-            Some(id) => {
-                let f = self.flow(id).expect("raw mappings point at live slots");
-                if f.finished() {
-                    Some(self.reopen_raw(raw, id, cfg))
-                } else if f.closed {
-                    None
-                } else {
-                    Some(id)
-                }
-            }
-            None => Some(self.open(Some(raw), cfg)),
-        }
-    }
-
-    /// Starts a fresh incarnation of a finished raw flow in a **new
-    /// slot** (the generation moves on — ABA safety), carrying the old
-    /// incarnation's undrained reports and finishing set forward.
-    fn reopen_raw(&mut self, raw: u64, old: FlowId, cfg: &ServeConfig) -> FlowId {
-        let f = self
-            .flow_mut(old)
-            .expect("reopening a finished flow in place");
-        let reports = std::mem::take(&mut f.reports);
-        let finishing = std::mem::take(&mut f.finishing);
-        self.free_slot(old);
-        let id = self.open(Some(raw), cfg);
-        let f = self.flow_mut(id).expect("just opened");
-        f.reports = reports;
-        f.finishing = finishing;
-        id
-    }
-
-    fn raw_lookup(&self, raw: u64) -> Option<FlowId> {
-        self.raw.get(&raw).copied()
     }
 
     // ---- eviction ---------------------------------------------------
@@ -1942,7 +1855,7 @@ impl ServiceHandle {
     /// least-recently-pushed drained flow is evicted first.
     pub fn open_flow(&self) -> FlowId {
         let mut st = self.core.lock();
-        let id = st.open(None, &self.core.config);
+        let id = st.open(&self.core.config);
         drop(st);
         self.core.space.notify_all(); // a budget eviction may have freed a blocked producer's flow
         id
@@ -1973,7 +1886,7 @@ impl ServiceHandle {
             }
             return Err(ServeError::Overloaded);
         }
-        let id = st.open(None, &self.core.config);
+        let id = st.open(&self.core.config);
         drop(st);
         self.core.space.notify_all();
         Ok(id)
@@ -2142,7 +2055,7 @@ impl ServiceHandle {
         let Some(f) = st.flow_mut(flow) else {
             return Vec::new();
         };
-        let out = f.reports.drain(..).map(StoredMatch::rule_match).collect();
+        let out = f.reports.drain(..).collect();
         st.free_if_drained(flow);
         out
     }
@@ -2163,7 +2076,7 @@ impl ServiceHandle {
                 return Err(ServeError::Quarantined { message });
             }
         }
-        let out = f.reports.drain(..).map(StoredMatch::rule_match).collect();
+        let out = f.reports.drain(..).collect();
         st.free_if_drained(flow);
         Ok(out)
     }
@@ -2176,10 +2089,7 @@ impl ServiceHandle {
         let Some(f) = st.flow_mut(flow) else {
             return Vec::new();
         };
-        let out = std::mem::take(&mut f.finishing)
-            .into_iter()
-            .map(StoredMatch::rule_match)
-            .collect();
+        let out = std::mem::take(&mut f.finishing);
         st.free_if_drained(flow);
         out
     }
@@ -2193,21 +2103,36 @@ impl ServiceHandle {
     /// within one end, the epoch's compiled pattern order) — the same
     /// order [`poll`](ServiceHandle::poll) yields. **Across** flows the
     /// interleaving follows merge completion and is nondeterministic
-    /// under concurrency. Every merged match appears exactly once. This
-    /// is the same contract as
-    /// [`FlowScheduler::drain_global`](crate::FlowScheduler::drain_global),
-    /// pinned by `tests/service_reload.rs`.
+    /// under concurrency. Every merged match appears exactly once. The
+    /// contract is pinned by `tests/service_reload.rs`.
+    ///
+    /// ```
+    /// use recama::Engine;
+    ///
+    /// let engine = Engine::builder().patterns(["ab{2}c", "xyz"]).build().unwrap();
+    /// let svc = engine.serve();
+    /// let (a, b) = (svc.open_flow(), svc.open_flow());
+    ///
+    /// // Interleaved chunks from two flows; matches straddle the chunks.
+    /// svc.push(a, b"..ab");
+    /// svc.push(b, b"xy");
+    /// svc.barrier();
+    /// svc.push(b, b"z");
+    /// svc.push(a, b"bc!");
+    /// svc.barrier();
+    ///
+    /// let hits: Vec<_> = svc.poll(a).iter().map(|m| (m.rule, m.end)).collect();
+    /// assert_eq!(hits, vec![(0, 6)]); // "abbc" ends at offset 6 of flow a
+    /// let hits: Vec<_> = svc.poll(b).iter().map(|m| (m.rule, m.end)).collect();
+    /// assert_eq!(hits, vec![(1, 3)]); // "xyz" ends at offset 3 of flow b
+    /// // The global sink saw both, attributed to their flows.
+    /// let mut flows: Vec<_> = svc.drain_global().iter().map(|ev| ev.flow).collect();
+    /// flows.sort();
+    /// assert_eq!(flows, vec![a, b]);
+    /// assert!(svc.drain_global().is_empty(), "the sink drains once");
+    /// ```
     pub fn drain_global(&self) -> Vec<ServiceEvent> {
-        self.core
-            .lock()
-            .sink
-            .drain(..)
-            .map(|ev| ServiceEvent {
-                flow: ev.flow,
-                rule: ev.rule,
-                end: ev.end,
-            })
-            .collect()
+        std::mem::take(&mut self.core.lock().sink)
     }
 
     /// Drains the ids of flows evicted (idle sweep or flow-table
@@ -2269,100 +2194,6 @@ impl ServiceHandle {
     pub fn is_live(&self, flow: FlowId) -> bool {
         self.core.lock().flow(flow).is_some()
     }
-
-    // ---- raw-u64 addressing (the FlowScheduler's) --------------------
-
-    /// Buffers `chunk` for the raw-addressed `flow`, opening it on first
-    /// use (or reopening it once its previous incarnation finished) and
-    /// blocking while the byte budgets are exceeded. Returns `None`,
-    /// buffering nothing, while the flow is closed but not yet drained.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the service is poisoned.
-    pub(crate) fn push_raw(&self, flow: u64, chunk: &[u8]) -> Option<u64> {
-        let cfg = &self.core.config;
-        let mut st = self.core.lock();
-        loop {
-            let id = st.raw_push_target(flow, cfg)?;
-            if let Poll::Ready(total) = st.try_push_at(id, chunk, cfg) {
-                drop(st);
-                self.core.wake.notify_all();
-                return Some(total);
-            }
-            if st.poisoned {
-                panic!(
-                    "service is poisoned: a worker panicked mid-scan ({}), \
-                     so flow {flow} can never drain",
-                    st.panic_summary()
-                );
-            }
-            st = self.core.wait_space(st);
-        }
-    }
-
-    /// Like [`close`](ServiceHandle::close) for a raw `u64` id.
-    pub(crate) fn close_raw(&self, flow: u64) {
-        let mut st = self.core.lock();
-        if let Some(id) = st.raw_lookup(flow) {
-            st.close_flow(id);
-        }
-        drop(st);
-        self.core.wake.notify_all();
-    }
-
-    /// Drains the report queue of a raw `u64` id in pattern-indexed
-    /// [`SetMatch`] form.
-    pub(crate) fn poll_raw(&self, flow: u64) -> Vec<SetMatch> {
-        self.drain_raw(flow, |f| f.reports.drain(..).collect())
-    }
-
-    /// Drains the finishing set of a raw `u64` id in pattern-indexed
-    /// [`SetMatch`] form.
-    pub(crate) fn finishing_raw(&self, flow: u64) -> Vec<SetMatch> {
-        self.drain_raw(flow, |f| std::mem::take(&mut f.finishing))
-    }
-
-    fn drain_raw(
-        &self,
-        flow: u64,
-        take: impl FnOnce(&mut OwnedFlow) -> Vec<StoredMatch>,
-    ) -> Vec<SetMatch> {
-        let mut st = self.core.lock();
-        let Some(id) = st.raw_lookup(flow) else {
-            return Vec::new();
-        };
-        let Some(f) = st.flow_mut(id) else {
-            return Vec::new();
-        };
-        let out = take(f).into_iter().map(StoredMatch::set_match).collect();
-        st.free_if_drained(id);
-        out
-    }
-
-    /// Drains the global sink in raw-addressed, pattern-indexed
-    /// [`FlowMatch`] form (same ordering contract as
-    /// [`drain_global`](ServiceHandle::drain_global)).
-    pub(crate) fn drain_global_raw(&self) -> Vec<FlowMatch> {
-        self.core
-            .lock()
-            .sink
-            .drain(..)
-            .map(|ev| FlowMatch {
-                flow: ev.raw.expect("raw-driven services only hold raw flows"),
-                pattern: ev.pattern as usize,
-                end: ev.end as usize,
-            })
-            .collect()
-    }
-
-    /// Bytes pushed to the raw-addressed `flow`'s current incarnation
-    /// (`None` for unknown ids).
-    pub(crate) fn flow_len_raw(&self, flow: u64) -> Option<u64> {
-        let st = self.core.lock();
-        let id = st.raw_lookup(flow)?;
-        st.flow(id).map(|f| f.total)
-    }
 }
 
 impl Drop for ServiceHandle {
@@ -2389,6 +2220,188 @@ impl std::fmt::Debug for ServiceHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SetMatch;
+    use recama_hw::ShardPolicy;
+
+    fn sharded(patterns: &[&str], shards: usize) -> Engine {
+        Engine::builder()
+            .patterns(patterns)
+            .shard_policy(ShardPolicy::Fixed(shards))
+            .build()
+            .unwrap()
+    }
+
+    /// A stream report as the service reports it: with default ids, the
+    /// rule id is the pattern index.
+    fn rule_match(m: SetMatch) -> RuleMatch {
+        RuleMatch {
+            rule: m.pattern as u64,
+            end: m.end as u64,
+        }
+    }
+
+    /// Per-flow service output must equal an independent stream fed the
+    /// same chunks.
+    fn expected_stream(engine: &Engine, chunks: &[&[u8]]) -> Vec<RuleMatch> {
+        let mut stream = engine.stream();
+        let mut out = Vec::new();
+        for chunk in chunks {
+            out.extend(stream.feed(chunk).map(rule_match));
+        }
+        out
+    }
+
+    #[test]
+    fn interleaved_flows_match_independent_streams() {
+        let engine = sharded(&["ab{2,4}c", "x{3}", "q[rs]{2}t"], 3);
+        let flow_a: Vec<&[u8]> = vec![b"zab", b"bbc_x", b"xx"];
+        let flow_b: Vec<&[u8]> = vec![b"qrst", b"", b"_abbc"];
+        for workers in [1, 2, 5] {
+            let svc = engine.serve_with(workers, ServeConfig::default());
+            let (a, b) = (svc.open_flow(), svc.open_flow());
+            // Interleave pushes; flush mid-way and at the end.
+            svc.push(a, flow_a[0]);
+            svc.push(b, flow_b[0]);
+            svc.barrier();
+            svc.push(b, flow_b[1]);
+            svc.push(a, flow_a[1]);
+            svc.push(b, flow_b[2]);
+            svc.push(a, flow_a[2]);
+            svc.barrier();
+            assert_eq!(svc.poll(a), expected_stream(&engine, &flow_a));
+            assert_eq!(svc.poll(b), expected_stream(&engine, &flow_b));
+            assert_eq!(svc.pending_bytes(), 0);
+        }
+    }
+
+    #[test]
+    fn global_sink_attributes_every_match() {
+        let engine = sharded(&["kk", "zz"], 2);
+        let svc = engine.serve_with(2, ServeConfig::default());
+        let (ten, twenty) = (svc.open_flow(), svc.open_flow());
+        svc.push(ten, b"akka");
+        svc.push(twenty, b"zz");
+        svc.barrier();
+        let mut global = svc.drain_global();
+        global.sort_by_key(|ev| ev.flow);
+        assert_eq!(
+            global,
+            vec![
+                ServiceEvent {
+                    flow: ten,
+                    rule: 0,
+                    end: 3
+                },
+                ServiceEvent {
+                    flow: twenty,
+                    rule: 1,
+                    end: 2
+                },
+            ]
+        );
+        // The sink drains once.
+        assert!(svc.drain_global().is_empty());
+        // Per-flow queues are independent of the sink.
+        assert_eq!(svc.poll(ten).len(), 1);
+        assert_eq!(svc.poll(twenty).len(), 1);
+    }
+
+    #[test]
+    fn close_frees_engines_and_id_reuse_starts_fresh() {
+        let engine = sharded(&["ab"], 1);
+        let svc = engine.serve_with(1, ServeConfig::default());
+        let first = svc.open_flow();
+        svc.push(first, b"..ab");
+        svc.close(first); // close with bytes still pending
+        svc.barrier();
+        assert_eq!(svc.poll(first), vec![RuleMatch { rule: 0, end: 4 }]);
+        // Finished + drained: the flow entry is gone, the id is stale.
+        assert_eq!(svc.flow_count(), 0);
+        assert!(!svc.is_live(first));
+        // The recycled slot: a fresh stream, positions restart at 1.
+        let second = svc.open_flow();
+        assert_eq!(second.index(), first.index());
+        assert_ne!(second, first);
+        svc.push(second, b"ab");
+        svc.barrier();
+        assert_eq!(svc.poll(second), vec![RuleMatch { rule: 0, end: 2 }]);
+        assert_eq!(svc.flow_len(second), Some(2));
+        assert_eq!(svc.flow_len(first), None);
+    }
+
+    #[test]
+    fn finishing_resolves_dollar_anchors_at_flow_end() {
+        let engine = sharded(&["ab$", "ab", "cd$"], 2);
+        let svc = engine.serve_with(2, ServeConfig::default());
+        let one = svc.open_flow();
+        svc.push(one, b"ab.c");
+        svc.push(one, b"d");
+        svc.close(one);
+        svc.barrier();
+        // Mid-flow, every candidate end is reported (stream contract)...
+        assert_eq!(
+            svc.poll(one),
+            vec![
+                RuleMatch { rule: 0, end: 2 },
+                RuleMatch { rule: 1, end: 2 },
+                RuleMatch { rule: 2, end: 5 },
+            ]
+        );
+        // ...and the finishing set keeps only the $-match on the final
+        // byte — exactly what the flow's own stream would finish with.
+        let mut stream = engine.stream();
+        stream.feed(b"ab.c").count();
+        stream.feed(b"d").count();
+        let finished: Vec<RuleMatch> = stream.finish().into_iter().map(rule_match).collect();
+        assert_eq!(svc.finishing(one), finished);
+        assert_eq!(svc.finishing(one), vec![], "finishing drains once");
+        assert_eq!(svc.flow_count(), 0, "fully drained flows are forgotten");
+
+        // A flow whose $-candidate is NOT on the final byte finishes empty.
+        let two = svc.open_flow();
+        svc.push(two, b"ab.");
+        svc.close(two);
+        svc.barrier();
+        assert_eq!(svc.poll(two).len(), 2);
+        assert!(svc.finishing(two).is_empty());
+    }
+
+    #[test]
+    fn zero_length_chunks_open_flows_but_schedule_nothing() {
+        let engine = sharded(&["ab"], 1);
+        let svc = engine.serve_with(2, ServeConfig::default());
+        let one = svc.open_flow();
+        assert_eq!(svc.push(one, b""), 0);
+        assert_eq!(svc.flow_count(), 1);
+        assert_eq!(svc.pending_bytes(), 0);
+        svc.barrier(); // no ready units: returns immediately
+        assert!(svc.poll(one).is_empty());
+        // Empty chunks interleaved with real ones change nothing.
+        svc.push(one, b"a");
+        svc.push(one, b"");
+        svc.push(one, b"b");
+        svc.barrier();
+        assert_eq!(svc.poll(one), vec![RuleMatch { rule: 0, end: 2 }]);
+    }
+
+    #[test]
+    fn empty_set_and_unknown_flows_are_harmless() {
+        let engine = Engine::new(Vec::<String>::new()).unwrap();
+        let svc = engine.serve_with(2, ServeConfig::default());
+        let one = svc.open_flow();
+        svc.push(one, b"anything");
+        svc.barrier();
+        assert!(svc.poll(one).is_empty());
+        // A never-opened id (another service's slot) is stale here.
+        let unknown = FlowId {
+            index: 999,
+            generation: 0,
+        };
+        assert!(svc.poll(unknown).is_empty());
+        svc.close(unknown); // no-op
+        assert!(svc.drain_global().is_empty());
+        assert!(format!("{svc:?}").contains("2 workers"));
+    }
 
     /// The admission rule, driven on a bare [`ServeState`] with no
     /// workers, so nothing consumes and the budget math is exact. The
@@ -2406,7 +2419,7 @@ mod tests {
             ..ServeConfig::default()
         };
         let mut st = ServeState::new(&engine);
-        let one = st.raw_push_target(1, &cfg).expect("fresh flows open");
+        let one = st.open(&cfg);
         // First chunk: empty buffer, always accepted.
         assert_eq!(st.try_push_at(one, b"123456", &cfg), Poll::Ready(6));
         // 6 buffered + 6 > 8: pushed back.
@@ -2417,16 +2430,14 @@ mod tests {
         assert_eq!(st.try_push_at(one, b"9", &cfg), Poll::Pending);
         // An empty chunk buffers nothing: accepted even at budget.
         assert_eq!(st.try_push_at(one, b"", &cfg), Poll::Ready(8));
-        assert_eq!(st.raw_push_target(1, &cfg), Some(one), "same incarnation");
         // Another flow has its own budget.
-        let two = st.raw_push_target(2, &cfg).expect("fresh flows open");
+        let two = st.open(&cfg);
         assert_ne!(two, one);
         assert_eq!(st.try_push_at(two, b"ab", &cfg), Poll::Ready(2));
         assert_eq!(st.buffered_total, 10);
         assert_eq!(st.metrics.backpressure, 2);
         // Closed and not yet drained: pushes are rejected.
         st.close_flow(one);
-        assert_eq!(st.raw_push_target(1, &cfg), None);
         assert_eq!(st.try_push_at(one, b"cd", &cfg), Poll::Pending);
         assert_eq!(st.flow(one).map(|f| f.total), Some(8));
     }

@@ -1,36 +1,32 @@
-//! [`PatternSet`] / [`ShardedPatternSet`]: whole rulesets compiled into
-//! shared machine images and software engines.
+//! [`ShardedPatternSet`]: whole rulesets compiled into shared machine
+//! images and software engines.
 //!
 //! The paper's evaluation operates on rulesets (Snort, Suricata,
 //! Protomata, SpamAssassin, ClamAV — Table 1), and deployments of this
 //! class of matcher always compile the full set into shared automata
-//! scanned once per input stream. Two deployment shapes live here:
+//! scanned once per input stream. The set is banked: a
+//! [`ShardPlan`](recama_hw::ShardPlan) partitions the rules into shards
+//! whose sub-networks each fit one CAMA bank
+//! ([`ShardPolicy`](recama_hw::ShardPolicy), default = one bank's
+//! capacity), one [`MultiNca`](recama_nca::MultiNca) per shard shares a
+//! single byte-class alphabet computed once over the whole set, and
+//! [`ShardedPatternSet::find_ends`] scans the shards in parallel with
+//! scoped threads, recombining reports with an ordered merge that keeps
+//! the output **byte-identical** to the unsharded scan.
 //!
-//! * [`PatternSet`] — ONE merged network + ONE batched engine, the shape
-//!   that fits a single CAMA bank;
-//! * [`ShardedPatternSet`] — the banked shape: a
-//!   [`ShardPlan`](recama_hw::ShardPlan) partitions the rules into shards
-//!   whose sub-networks each fit one bank
-//!   ([`ShardPolicy`](recama_hw::ShardPolicy), default = one bank's
-//!   capacity), one [`MultiNca`](recama_nca::MultiNca) per shard shares a
-//!   single byte-class alphabet computed once over the whole set, and
-//!   [`ShardedPatternSet::find_ends`] scans the shards in parallel with
-//!   scoped threads, recombining reports with an ordered merge that keeps
-//!   the output **byte-identical** to the unsharded scan.
-//!
-//! `PatternSet` is simply the single-shard (`N = 1`) case of the sharded
-//! machinery — same compile front-end, same per-pattern pipeline (parse →
-//! analysis → module selection), same report semantics.
+//! The unsharded machine image — ONE merged network + ONE batched
+//! engine — is the single-shard (`N = 1`) case,
+//! [`ShardPolicy::Single`](recama_hw::ShardPolicy::Single): same compile
+//! front-end, same per-pattern pipeline (parse → analysis → module
+//! selection), same report semantics.
 
-use crate::engine::{CompileError, CompilePhase};
 use crate::prefilter::{ChunkAction, PrefilterMode, PrefilterState, SetPrefilter};
-use crate::{Engine, MatchSpan, Pattern};
+use crate::MatchSpan;
 use recama_compiler::{compile, CompileOptions, CompileOutput};
 use recama_hw::{RuleCost, ShardPlan, ShardPolicy};
 use recama_mnrl::MnrlNetwork;
 use recama_nca::{
-    CompilePlan, MultiNca, MultiReport, Nca, ScanMode, ShardStream, ShardedMulti, StateId,
-    TokenSetEngine,
+    CompilePlan, MultiReport, Nca, ScanMode, ShardStream, ShardedMulti, StateId, TokenSetEngine,
 };
 use recama_syntax::Parsed;
 use std::collections::HashMap;
@@ -73,11 +69,10 @@ impl SetSpan {
 /// extended-MNRL network and one shared software automaton **per shard**,
 /// with a single byte-class alphabet shared by every shard.
 ///
-/// Mirrors [`PatternSet`]'s API at set granularity — [`find_ends`] /
-/// [`find_spans`] / [`stream`] / [`hardware`] — and its report
-/// semantics exactly: for any shard plan (including the trivial one),
-/// [`find_ends`] returns the same reports in the same order as the
-/// unsharded [`PatternSet::find_ends`].
+/// Mirrors [`Pattern`](crate::Pattern)'s API at set granularity —
+/// [`find_ends`] / [`find_spans`] / [`stream`] / [`hardware`] — and for
+/// any shard plan [`find_ends`] returns the same reports in the same
+/// order as the single-shard plan.
 ///
 /// [`find_ends`]: ShardedPatternSet::find_ends
 /// [`find_spans`]: ShardedPatternSet::find_spans
@@ -85,7 +80,8 @@ impl SetSpan {
 /// [`hardware`]: ShardedPatternSet::hardware
 ///
 /// Build one with [`Engine::builder`](crate::Engine::builder) (every
-/// compile knob lives there) and [`Engine::into_set`].
+/// compile knob lives there) and reach it through
+/// [`Engine::set`](crate::Engine::set).
 ///
 /// # Examples
 ///
@@ -93,14 +89,14 @@ impl SetSpan {
 /// use recama::hw::ShardPolicy;
 /// use recama::Engine;
 ///
-/// let set = Engine::builder()
+/// let engine = Engine::builder()
 ///     .patterns(["ab{2,3}c", "xyz", "k\\d{4}"])
 ///     .shard_policy(ShardPolicy::Fixed(2))
 ///     .build()
-///     .unwrap()
-///     .into_set();
+///     .unwrap();
+/// let set = engine.set();
 /// assert_eq!(set.shard_count(), 2);
-/// // Reports are identical to the unsharded PatternSet, in the same order.
+/// // Reports are identical to the unsharded set, in the same order.
 /// let matches = set.find_ends(b"zabbc..xyz..k1234");
 /// let hits: Vec<(usize, usize)> = matches.iter().map(|m| (m.pattern, m.end)).collect();
 /// assert_eq!(hits, vec![(0, 5), (1, 10), (2, 17)]);
@@ -154,7 +150,7 @@ impl ShardedPatternSet {
 
         // Bank-aware partition, costed with the mapper's own estimates.
         // The trivial policy never looks at costs, so skip the per-rule
-        // placements there (PatternSet compiles route through it).
+        // placements there (single-shard builds route through it).
         let plan = if policy == ShardPolicy::Single {
             ShardPlan::single(outputs.len())
         } else {
@@ -311,7 +307,7 @@ impl ShardedPatternSet {
     }
 
     /// One [`ShardStream`] per shard in this set's [`ScanMode`] — the
-    /// unit the flow scheduler checks out.
+    /// unit the flow service checks out.
     pub(crate) fn shard_streams(&self) -> Vec<ShardStream<'_>> {
         self.multi.shard_streams_with(self.scan_mode)
     }
@@ -336,13 +332,13 @@ impl ShardedPatternSet {
     }
 
     /// All matches in `haystack`, in stream order (ascending end offset,
-    /// ascending pattern within one offset) — byte-identical to
-    /// [`PatternSet::find_ends`] on the same patterns, for any shard
-    /// plan. Large haystacks are scanned one scoped thread per shard;
+    /// ascending pattern within one offset) — byte-identical across
+    /// shard plans. Large haystacks are scanned one scoped thread per shard;
     /// small ones sequentially (thread spawn would cost more than the
     /// scan).
     ///
-    /// Semantics per pattern match [`Pattern::find_ends`]: search form
+    /// Semantics per pattern match
+    /// [`Pattern::find_ends`](crate::Pattern::find_ends): search form
     /// `Σ*·r` unless `^`-anchored, one report per (pattern, end), and a
     /// trailing `$` keeps only that pattern's matches ending at the end
     /// of the haystack.
@@ -409,8 +405,25 @@ impl ShardedPatternSet {
     /// Locates full match spans per pattern: for every reported match
     /// end, the matching pattern's *reversed* automaton runs backward
     /// from the end to the earliest start (leftmost-longest flavor), as
-    /// in [`Pattern::find_spans`]. Reversed automata are built lazily per
-    /// pattern and cached for the set's lifetime.
+    /// in [`Pattern::find_spans`](crate::Pattern::find_spans). Reversed
+    /// automata are built lazily per pattern and cached for the set's
+    /// lifetime.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use recama::{Engine, SetSpan};
+    ///
+    /// let engine = Engine::new(["ab{2,3}c", "xyz"]).unwrap();
+    /// let spans = engine.set().find_spans(b"zzabbc.xyz");
+    /// assert_eq!(
+    ///     spans,
+    ///     vec![
+    ///         SetSpan { pattern: 0, start: 2, end: 6 },
+    ///         SetSpan { pattern: 1, start: 7, end: 10 },
+    ///     ]
+    /// );
+    /// ```
     pub fn find_spans(&self, haystack: &[u8]) -> Vec<SetSpan> {
         let matches = self.find_ends(haystack);
         if matches.is_empty() {
@@ -445,12 +458,26 @@ impl ShardedPatternSet {
     ///
     /// Note that a stream has no "end" until [`finish`] declares one, so
     /// trailing-`$` anchors are not applied during [`feed`]: `$`-anchored
-    /// patterns report every candidate end offset (same contract as
-    /// [`PatternSet::stream`]). Call [`finish`] at end-of-stream to learn
-    /// which `$`-anchored matches actually end on the final byte.
+    /// patterns report every candidate end offset. Call [`finish`] at
+    /// end-of-stream to learn which `$`-anchored matches actually end on
+    /// the final byte.
     ///
     /// [`feed`]: ShardedSetStream::feed
     /// [`finish`]: ShardedSetStream::finish
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use recama::Engine;
+    ///
+    /// let engine = Engine::new(["ab{2}c"]).unwrap();
+    /// let mut stream = engine.set().stream();
+    /// // The match straddles the chunk boundary.
+    /// assert!(stream.feed(b"..ab").next().is_none());
+    /// let hits: Vec<_> = stream.feed(b"bc..").collect();
+    /// assert_eq!(hits.len(), 1);
+    /// assert_eq!((hits[0].pattern, hits[0].end), (0, 6));
+    /// ```
     pub fn stream(&self) -> ShardedSetStream<'_> {
         ShardedSetStream {
             shards: self.shard_streams(),
@@ -517,7 +544,7 @@ fn merge_ordered_by<T: Copy>(
 }
 
 /// Tracks the last candidate end per trailing-`$` pattern. Streams (and
-/// the flow scheduler) report every candidate end of a `$`-anchored
+/// the flow service) report every candidate end of a `$`-anchored
 /// pattern because mid-stream the end is unknown; this records the most
 /// recent one so declaring end-of-stream can resolve which candidates
 /// actually land on the final byte. State lives across feeds —
@@ -570,11 +597,12 @@ impl<'a> DollarTracker<'a> {
 
 /// A resumable chunk-at-a-time matcher over a [`ShardedPatternSet`] (one
 /// [`ShardStream`] per shard); create one with
-/// [`ShardedPatternSet::stream`]. The stream is `Send`, so per-flow
-/// states can move onto worker threads — and its per-shard states are
-/// individually detachable ([`ShardedMulti::shard_stream`]), which is
-/// what [`FlowScheduler`](crate::sched::FlowScheduler) builds on to let
-/// two workers advance different shards of the same flow.
+/// [`ShardedPatternSet::stream`] or [`Engine::stream`](crate::Engine::stream).
+/// The stream is `Send`, so per-flow states can move onto worker
+/// threads — and its per-shard states are individually detachable
+/// ([`ShardedMulti::shard_stream_with`]), which is what
+/// [`ServiceHandle`](crate::ServiceHandle) builds on to let two workers
+/// advance different shards of the same flow.
 pub struct ShardedSetStream<'a> {
     shards: Vec<ShardStream<'a>>,
     bufs: Vec<Vec<MultiReport>>,
@@ -720,339 +748,38 @@ impl fmt::Debug for ShardedSetStream<'_> {
     }
 }
 
-/// A compiled ruleset: one merged extended-MNRL network and one shared
-/// software engine for the entire set — the single-shard (`N = 1`) case
-/// of [`ShardedPatternSet`], which it wraps.
-///
-/// Mirrors [`Pattern`]'s API at set granularity: [`find_ends`] /
-/// [`stream`] / [`network`] / [`hardware`].
-///
-/// [`find_ends`]: PatternSet::find_ends
-/// [`stream`]: PatternSet::stream
-/// [`network`]: PatternSet::network
-/// [`hardware`]: PatternSet::hardware
-///
-/// Build one with [`Engine::builder`](crate::Engine::builder) and
-/// [`ShardPolicy::Single`](recama_hw::ShardPolicy::Single), then convert
-/// the single-shard engine with `PatternSet::try_from`.
-///
-/// # Examples
-///
-/// ```
-/// use recama::hw::ShardPolicy;
-/// use recama::{Engine, PatternSet};
-///
-/// let engine = Engine::builder()
-///     .patterns(["ab{2,3}c", "xyz", "k\\d{4}"])
-///     .shard_policy(ShardPolicy::Single)
-///     .build()
-///     .unwrap();
-/// let set = PatternSet::try_from(engine).unwrap();
-/// let matches = set.find_ends(b"zabbc..xyz..k1234");
-/// let hits: Vec<(usize, usize)> = matches.iter().map(|m| (m.pattern, m.end)).collect();
-/// assert_eq!(hits, vec![(0, 5), (1, 10), (2, 17)]);
-/// // One merged network with per-pattern report ids:
-/// assert_eq!(set.network().report_ids(), vec![0, 1, 2]);
-/// ```
-#[derive(Debug)]
-pub struct PatternSet {
-    inner: ShardedPatternSet,
-}
-
-/// A single-shard [`Engine`] is exactly a [`PatternSet`]; an engine
-/// whose plan has more than one shard is handed back unchanged.
-///
-/// # Panics
-///
-/// Panics like [`Engine::into_set`] if an owned
-/// [`ServiceHandle`](crate::ServiceHandle) still serves the engine's
-/// set.
-impl TryFrom<Engine> for PatternSet {
-    type Error = Engine;
-
-    fn try_from(engine: Engine) -> Result<PatternSet, Engine> {
-        if engine.shard_count() == 1 {
-            Ok(PatternSet {
-                inner: engine.into_set(),
-            })
-        } else {
-            Err(engine)
-        }
-    }
-}
-
-impl PatternSet {
-    /// Number of compiled patterns.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// The source text of pattern `i`.
-    pub fn pattern(&self, i: usize) -> &str {
-        self.inner.pattern(i)
-    }
-
-    /// Per-pattern compiler outputs (module decisions, analyses, NCAs),
-    /// indexed like the patterns.
-    pub fn outputs(&self) -> &[CompileOutput] {
-        self.inner.outputs()
-    }
-
-    /// The merged extended-MNRL network for the whole set. Reporting
-    /// nodes of pattern `i` carry `report_id = i`.
-    pub fn network(&self) -> &MnrlNetwork {
-        self.inner.network(0)
-    }
-
-    /// The merged shared automaton (one `q0`, one shared `Σ*` search
-    /// state, shared byte-class alphabet, per-pattern state ranges).
-    pub fn multi(&self) -> &MultiNca {
-        self.inner.multi().shard(0)
-    }
-
-    /// The sharded view of this set (a single shard holding every
-    /// pattern).
-    pub fn sharded(&self) -> &ShardedPatternSet {
-        &self.inner
-    }
-
-    /// All matches in `haystack`, in stream order (ascending end offset).
-    ///
-    /// Semantics per pattern match [`Pattern::find_ends`]: search form
-    /// `Σ*·r` unless `^`-anchored, one report per (pattern, end), and a
-    /// trailing `$` keeps only that pattern's matches ending at the end
-    /// of the haystack.
-    pub fn find_ends(&self, haystack: &[u8]) -> Vec<SetMatch> {
-        self.inner.find_ends(haystack)
-    }
-
-    /// Whether any pattern matches in `haystack`.
-    pub fn is_match(&self, haystack: &[u8]) -> bool {
-        self.inner.is_match(haystack)
-    }
-
-    /// Locates full match spans per pattern — the set-level analogue of
-    /// [`Pattern::find_spans`], reusing cached reversed automata.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use recama::hw::ShardPolicy;
-    /// use recama::{Engine, PatternSet, SetSpan};
-    ///
-    /// let engine = Engine::builder()
-    ///     .patterns(["ab{2,3}c", "xyz"])
-    ///     .shard_policy(ShardPolicy::Single)
-    ///     .build()
-    ///     .unwrap();
-    /// let set = PatternSet::try_from(engine).unwrap();
-    /// let spans = set.find_spans(b"zzabbc.xyz");
-    /// assert_eq!(
-    ///     spans,
-    ///     vec![
-    ///         SetSpan { pattern: 0, start: 2, end: 6 },
-    ///         SetSpan { pattern: 1, start: 7, end: 10 },
-    ///     ]
-    /// );
-    /// ```
-    pub fn find_spans(&self, haystack: &[u8]) -> Vec<SetSpan> {
-        self.inner.find_spans(haystack)
-    }
-
-    /// A resumable streaming matcher: feed traffic in chunks and drain
-    /// reports incrementally, without re-scanning previous chunks.
-    ///
-    /// Note that a stream has no "end", so trailing-`$` anchors are not
-    /// applied: `$`-anchored patterns report every candidate end offset.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use recama::hw::ShardPolicy;
-    /// use recama::{Engine, PatternSet};
-    ///
-    /// let engine = Engine::builder()
-    ///     .pattern("ab{2}c")
-    ///     .shard_policy(ShardPolicy::Single)
-    ///     .build()
-    ///     .unwrap();
-    /// let set = PatternSet::try_from(engine).unwrap();
-    /// let mut stream = set.stream();
-    /// // The match straddles the chunk boundary.
-    /// assert!(stream.feed(b"..ab").next().is_none());
-    /// let hits: Vec<_> = stream.feed(b"bc..").collect();
-    /// assert_eq!(hits.len(), 1);
-    /// assert_eq!((hits[0].pattern, hits[0].end), (0, 6));
-    /// ```
-    pub fn stream(&self) -> SetStream<'_> {
-        SetStream {
-            engine: self
-                .inner
-                .multi()
-                .shard_stream_with(0, self.inner.scan_mode()),
-            buf: Vec::new(),
-            dollar: DollarTracker::new(self.inner.anchored_end()),
-            prefilter: self.inner.prefilter(),
-            pre: PrefilterState::default(),
-            tail: Vec::new(),
-        }
-    }
-
-    /// A hardware simulator for the merged network; its report vector
-    /// attributes events to patterns via the stamped report ids.
-    pub fn hardware(&self) -> recama_hw::HwSimulator<'_> {
-        self.inner.hardware(0)
-    }
-}
-
-/// A resumable chunk-at-a-time matcher over a [`PatternSet`]; create one
-/// with [`PatternSet::stream`]. The stream is `Send`, so per-flow engine
-/// states can move onto worker threads.
-pub struct SetStream<'a> {
-    engine: ShardStream<'a>,
-    buf: Vec<recama_nca::MultiReport>,
-    dollar: DollarTracker<'a>,
-    /// The set's literal prefilter (`None` under
-    /// [`PrefilterMode`](crate::PrefilterMode)`::Off`).
-    prefilter: Option<&'a SetPrefilter>,
-    /// Streaming filter state of the single shard.
-    pre: PrefilterState,
-    /// Last `window` bytes fed, for cold→hot wake-up replay.
-    tail: Vec<u8>,
-}
-
-impl SetStream<'_> {
-    /// Consumes `chunk` and returns the matches it completed, in stream
-    /// order. End offsets are 1-based and *absolute* (counted from the
-    /// start of the stream, across all chunks fed so far).
-    pub fn feed(&mut self, chunk: &[u8]) -> impl Iterator<Item = SetMatch> + '_ {
-        let chunk_start = self.engine.position();
-        let action = match self.prefilter {
-            Some(pf) if !chunk.is_empty() => {
-                pf.chunk_action(0, &mut self.pre, chunk, chunk_start, 0)
-            }
-            _ => ChunkAction::Scan,
-        };
-        self.buf.clear();
-        match action {
-            ChunkAction::Scan => self.engine.feed_into(chunk, &mut self.buf),
-            ChunkAction::Skip => self.engine.restart_at(chunk_start + chunk.len() as u64),
-            ChunkAction::Wake { replay_start } => {
-                self.engine.restart_at(replay_start);
-                let need = (chunk_start - replay_start) as usize;
-                if need > 0 {
-                    let from = self.tail.len() - need;
-                    self.engine.feed_into(&self.tail[from..], &mut self.buf);
-                }
-                self.engine.feed_into(chunk, &mut self.buf);
-            }
-        }
-        if let Some(pf) = self.prefilter {
-            pf.extend_tail(&mut self.tail, chunk);
-        }
-        for r in &self.buf {
-            self.dollar.observe(r.pattern as usize, r.end);
-        }
-        self.buf.iter().map(|r| SetMatch {
-            pattern: r.pattern as usize,
-            end: r.end as usize,
-        })
-    }
-
-    /// Declares end-of-stream and returns the `$`-anchored matches that
-    /// end exactly at the final byte — same contract as
-    /// [`ShardedSetStream::finish`].
-    pub fn finish(self) -> Vec<SetMatch> {
-        self.dollar.finish(self.engine.position())
-    }
-
-    /// Total bytes consumed since creation (or the last reset).
-    pub fn position(&self) -> u64 {
-        self.engine.position()
-    }
-
-    /// Restarts the stream at position 0.
-    pub fn reset(&mut self) {
-        self.engine.reset();
-        self.pre.reset();
-        self.tail.clear();
-        self.dollar.clear();
-    }
-}
-
-impl fmt::Debug for SetStream<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SetStream(position = {})", self.position())
-    }
-}
-
-/// [`Pattern`]-compatibility helpers on the set.
-impl PatternSet {
-    /// Compiles each pattern independently (the loop-over-patterns
-    /// baseline the shared engine is benchmarked against).
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first pattern that does not parse (or is outside
-    /// the supported fragment), identifying its index.
-    pub fn compile_baseline<S: AsRef<str>>(patterns: &[S]) -> Result<Vec<Pattern>, CompileError> {
-        patterns
-            .iter()
-            .enumerate()
-            .map(|(index, p)| {
-                Pattern::compile(p.as_ref()).map_err(|error| CompileError {
-                    index,
-                    pattern: p.as_ref().to_string(),
-                    phase: CompilePhase::Parse,
-                    error,
-                })
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Engine, Pattern};
     use recama_hw::ShardBudget;
 
-    fn single(patterns: &[&str]) -> PatternSet {
-        let engine = Engine::builder()
-            .patterns(patterns)
-            .shard_policy(ShardPolicy::Single)
-            .build()
-            .unwrap();
-        PatternSet::try_from(engine).unwrap()
-    }
-
-    fn sharded(patterns: &[&str], policy: ShardPolicy) -> ShardedPatternSet {
+    fn engine(patterns: &[&str], policy: ShardPolicy) -> Engine {
         Engine::builder()
             .patterns(patterns)
             .shard_policy(policy)
             .build()
             .unwrap()
-            .into_set()
+    }
+
+    /// The unsharded (single-bank) engine.
+    fn single(patterns: &[&str]) -> Engine {
+        engine(patterns, ShardPolicy::Single)
     }
 
     #[test]
     fn mirrors_per_pattern_find_ends() {
         let patterns = ["ab{2,3}c", "a{3}", "cab", "x[yz]{2}"];
         let set = single(&patterns);
-        let baseline = PatternSet::compile_baseline(&patterns).unwrap();
         let haystack = b"abbc.aaa.cab.xyz.abbbc";
         let mut expected: Vec<SetMatch> = Vec::new();
-        for (pi, p) in baseline.iter().enumerate() {
-            for end in p.find_ends(haystack) {
+        for (pi, p) in patterns.iter().enumerate() {
+            for end in Pattern::compile(p).unwrap().find_ends(haystack) {
                 expected.push(SetMatch { pattern: pi, end });
             }
         }
         expected.sort();
-        let mut got = set.find_ends(haystack);
+        let mut got = set.scan(haystack);
         got.sort();
         assert_eq!(got, expected);
     }
@@ -1070,14 +797,13 @@ mod tests {
 
     #[test]
     fn compile_filtered_skips_bad_patterns() {
-        let engine = Engine::builder()
+        let set = Engine::builder()
             .patterns(["a{2}", r"(x)\1", "b{3}"])
             .shard_policy(ShardPolicy::Single)
             .lossy(true)
             .build()
             .unwrap();
-        let rejected = engine.skipped().to_vec();
-        let set = PatternSet::try_from(engine).unwrap();
+        let rejected = set.skipped();
         assert_eq!(set.len(), 2);
         assert_eq!(rejected.len(), 1);
         assert_eq!(rejected[0].index, 1);
@@ -1085,33 +811,22 @@ mod tests {
     }
 
     #[test]
-    fn multi_shard_engines_are_not_pattern_sets() {
-        let engine = Engine::builder()
-            .patterns(["ab", "cd"])
-            .shard_policy(ShardPolicy::Fixed(2))
-            .build()
-            .unwrap();
-        let engine = PatternSet::try_from(engine).unwrap_err();
-        assert_eq!(engine.shard_count(), 2);
-    }
-
-    #[test]
     fn network_is_merged_and_valid_with_report_ids() {
         let set = single(&["^a{30}", "[xy]{5}z"]);
-        assert!(
-            set.network().validate().is_empty(),
-            "{:?}",
-            set.network().validate()
-        );
-        assert_eq!(set.network().report_ids(), vec![0, 1]);
+        assert_eq!(set.shard_count(), 1);
+        let network = set.network(0);
+        assert!(network.validate().is_empty(), "{:?}", network.validate());
+        assert_eq!(network.report_ids(), vec![0, 1]);
         // Module decisions surface per pattern.
         assert_eq!(set.outputs().len(), 2);
+        // One merged automaton holds both patterns.
+        assert_eq!(set.set().multi().shard(0).pattern_count(), 2);
     }
 
     #[test]
     fn dollar_anchor_filters_set_matches() {
         let set = single(&["ab$", "ab"]);
-        let got = set.find_ends(b"ab.ab");
+        let got = set.scan(b"ab.ab");
         // "ab$" only at the final position; "ab" at both.
         assert_eq!(
             got,
@@ -1145,9 +860,9 @@ mod tests {
         let patterns = ["ab$", "ab", "cd$"];
         let input: &[u8] = b"ab.cd";
         let single = single(&patterns);
-        let expected = single.find_ends(input); // the $-filtered one-shot scan
+        let expected = single.scan(input); // the $-filtered one-shot scan
 
-        // Unsharded stream: non-$ feed reports + finish == find_ends.
+        // Unsharded stream: non-$ feed reports + finish == scan.
         let mut stream = single.stream();
         let mut got = Vec::new();
         for chunk in [&b"ab"[..], b".c", b"d", b""] {
@@ -1168,7 +883,7 @@ mod tests {
         assert_eq!(got, expected);
 
         // Sharded stream, same chunking, same contract.
-        let sharded = sharded(&patterns, ShardPolicy::Fixed(2));
+        let sharded = engine(&patterns, ShardPolicy::Fixed(2));
         let mut stream = sharded.stream();
         let mut got = Vec::new();
         for chunk in [&b"ab"[..], b".c", b"d", b""] {
@@ -1193,13 +908,14 @@ mod tests {
         assert!(stream.finish().is_empty());
         // A never-fed stream finishes empty too.
         assert!(set.stream().finish().is_empty());
-        assert!(set.sharded().stream().finish().is_empty());
+        let sharded = engine(&["ab$", "xy"], ShardPolicy::Fixed(2));
+        assert!(sharded.stream().finish().is_empty());
     }
 
     #[test]
     fn hardware_simulator_attributes_reports() {
         let set = single(&["^ab{2}c", "xyz"]);
-        let mut hw = set.hardware();
+        let mut hw = set.hardware(0);
         let ends = hw.match_ends(b"abbc..xyz");
         assert_eq!(ends, vec![4, 9]);
     }
@@ -1208,12 +924,13 @@ mod tests {
     fn empty_set_is_well_formed() {
         let set = single(&[]);
         assert!(set.is_empty());
-        assert!(set.find_ends(b"anything").is_empty());
-        assert!(set.network().validate().is_empty());
-        // The sharded view compiles to one empty shard.
-        assert_eq!(set.sharded().shard_count(), 1);
-        let sharded = sharded(&[], ShardPolicy::default());
-        assert!(sharded.find_ends(b"anything").is_empty());
+        assert!(set.scan(b"anything").is_empty());
+        assert!(set.network(0).validate().is_empty());
+        // The empty set compiles to one empty shard under any policy.
+        assert_eq!(set.shard_count(), 1);
+        let sharded = engine(&[], ShardPolicy::default());
+        assert_eq!(sharded.shard_count(), 1);
+        assert!(sharded.scan(b"anything").is_empty());
         assert_eq!(sharded.stream().feed(b"xy").count(), 0);
     }
 
@@ -1222,7 +939,7 @@ mod tests {
         let patterns = ["ab{2,3}c", "a{3}", "cab", "x[yz]{2}", "k\\d{2}"];
         let single = single(&patterns);
         let haystack = b"abbc.aaa.cab.xyz.k42.abbbc";
-        let expected = single.find_ends(haystack);
+        let expected = single.scan(haystack);
         for policy in [
             ShardPolicy::Single,
             ShardPolicy::Fixed(2),
@@ -1234,16 +951,16 @@ mod tests {
                 bitvector_bits: 2000,
             }),
         ] {
-            let sharded = sharded(&patterns, policy);
+            let sharded = engine(&patterns, policy);
             // No sort: the order must match too.
-            assert_eq!(sharded.find_ends(haystack), expected, "policy {policy:?}");
+            assert_eq!(sharded.scan(haystack), expected, "policy {policy:?}");
         }
     }
 
     #[test]
     fn sharded_networks_carry_global_report_ids() {
         let patterns = ["^a{30}", "[xy]{5}z", "k\\d{2}"];
-        let set = sharded(&patterns, ShardPolicy::Fixed(2));
+        let set = engine(&patterns, ShardPolicy::Fixed(2));
         assert_eq!(set.shard_count(), 2);
         let mut all_ids = Vec::new();
         for si in 0..set.shard_count() {
@@ -1257,9 +974,9 @@ mod tests {
     #[test]
     fn sharded_stream_agrees_with_oneshot() {
         let patterns = ["ab{2,4}c", "x{3}", "q[rs]{2}t"];
-        let set = sharded(&patterns, ShardPolicy::Fixed(3));
+        let set = engine(&patterns, ShardPolicy::Fixed(3));
         let input = b"zabbbc_xxx_qrst_abbc_xxxx";
-        let oneshot = set.find_ends(input);
+        let oneshot = set.scan(input);
         for chunk_len in [1usize, 2, 7, input.len()] {
             let mut stream = set.stream();
             let mut got = Vec::new();
@@ -1275,7 +992,7 @@ mod tests {
     fn find_spans_locates_starts_per_pattern() {
         let patterns = ["ab{2,3}c", "xyz"];
         let set = single(&patterns);
-        let spans = set.find_spans(b"zzabbc..xyz..abbbc");
+        let spans = set.scan_spans(b"zzabbc..xyz..abbbc");
         assert_eq!(
             spans,
             vec![
@@ -1312,12 +1029,10 @@ mod tests {
     #[test]
     fn streams_are_send_and_debug() {
         fn assert_send<T: Send>() {}
-        assert_send::<SetStream<'static>>();
         assert_send::<ShardedSetStream<'static>>();
         assert_send::<SetMatch>();
         assert_send::<SetSpan>();
         assert_send::<ShardedPatternSet>();
-        assert_send::<PatternSet>();
 
         // Engines really do move onto worker threads.
         let set = single(&["kk"]);
@@ -1330,6 +1045,6 @@ mod tests {
         });
         assert_eq!(hits, 1);
         assert!(format!("{:?}", set.stream()).contains("position = 0"));
-        assert!(format!("{:?}", set.sharded().stream()).contains("1 shards"));
+        assert!(format!("{:?}", set.stream()).contains("1 shards"));
     }
 }

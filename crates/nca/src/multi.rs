@@ -379,17 +379,11 @@ impl ShardedMulti {
         self.shards.iter().map(|m| m.engine()).collect()
     }
 
-    /// A resumable scanning state for shard `i`, reporting **global**
-    /// pattern indices — the unit a many-flow scheduler checks out.
-    /// Uses the exact NCA engine; see
-    /// [`ShardedMulti::shard_stream_with`] for the hybrid overlay.
-    pub fn shard_stream(&self, i: usize) -> ShardStream<'_> {
-        self.shard_stream_with(i, ScanMode::Nca)
-    }
-
-    /// Like [`ShardedMulti::shard_stream`], but with an explicit
-    /// [`ScanMode`]: [`ScanMode::Hybrid`] overlays a lazy-DFA cache on
-    /// the shard's engine (see [`crate::HybridEngine`]).
+    /// A resumable scanning state for shard `i` in the given
+    /// [`ScanMode`], reporting **global** pattern indices — the unit a
+    /// many-flow scheduler checks out. [`ScanMode::Nca`] steps the exact
+    /// NCA engine; [`ScanMode::Hybrid`] overlays a lazy-DFA cache on it
+    /// (see [`crate::HybridEngine`]).
     pub fn shard_stream_with(&self, i: usize, mode: ScanMode) -> ShardStream<'_> {
         let engine = match mode {
             ScanMode::Nca => StreamEngine::Nca(Box::new(self.shards[i].engine())),
@@ -404,16 +398,9 @@ impl ShardedMulti {
         }
     }
 
-    /// One detachable [`ShardStream`] per shard — together they scan one
-    /// logical byte stream (every shard must be fed the same bytes).
-    pub fn shard_streams(&self) -> Vec<ShardStream<'_>> {
-        (0..self.shards.len())
-            .map(|i| self.shard_stream(i))
-            .collect()
-    }
-
-    /// Like [`ShardedMulti::shard_streams`], but every stream scans with
-    /// the given [`ScanMode`].
+    /// One detachable [`ShardStream`] per shard, each scanning with the
+    /// given [`ScanMode`] — together they scan one logical byte stream
+    /// (every shard must be fed the same bytes).
     pub fn shard_streams_with(&self, mode: ScanMode) -> Vec<ShardStream<'_>> {
         (0..self.shards.len())
             .map(|i| self.shard_stream_with(i, mode))
@@ -1480,7 +1467,7 @@ mod tests {
         expected.sort();
 
         let sm = sharded(&patterns, &[vec![0, 1], vec![2, 3], vec![4]]);
-        let mut streams = sm.shard_streams();
+        let mut streams = sm.shard_streams_with(ScanMode::Nca);
         let mut got = Vec::new();
         // Advance shards at *different* rates and in arbitrary order —
         // each keeps its own position in the logical stream.

@@ -16,18 +16,16 @@ use recama::hw::ShardPolicy;
 use recama::syntax::ParseError;
 use recama::{
     CompileError, CompilePhase, Engine, EngineBuilder, FaultMetrics, FaultPolicy, FlowId,
-    FlowMatch, FlowScheduler, HybridStats, MatchSpan, OverloadPolicy, Pattern, PatternSet,
-    PrefilterMetrics, PrefilterMode, RuleMatch, ServeConfig, ServeError, ServiceEvent,
-    ServiceHandle, ServiceMetrics, SetMatch, SetSpan, SetStream, ShardedPatternSet,
-    ShardedSetStream, SkippedRule,
+    HybridStats, MatchSpan, OverloadPolicy, PrefilterMetrics, PrefilterMode, RuleMatch,
+    ServeConfig, ServeError, ServiceEvent, ServiceHandle, ServiceMetrics, SetMatch, SetSpan,
+    ShardedPatternSet, ShardedSetStream, SkippedRule,
 };
 use std::task::Poll;
 use std::time::Duration;
 
 /// Every name exported from the `recama` crate root, sorted. Module
 /// re-exports of the sub-crates (`analysis`, `compiler`, `hw`, `mnrl`,
-/// `nca`, `syntax`, `workloads`) and the `sched` module are listed as
-/// modules, not expanded.
+/// `nca`, `syntax`, `workloads`) are listed as modules, not expanded.
 const ROOT_EXPORTS: &[&str] = &[
     "CompileError",
     "CompilePhase",
@@ -38,13 +36,10 @@ const ROOT_EXPORTS: &[&str] = &[
     "FaultPlan (feature fault-inject only)",
     "FaultPolicy",
     "FlowId",
-    "FlowMatch",
-    "FlowScheduler",
     "HybridStats",
     "MatchSpan",
     "OverloadPolicy",
     "Pattern",
-    "PatternSet",
     "PrefilterMetrics",
     "PrefilterMode",
     "RuleMatch",
@@ -56,7 +51,6 @@ const ROOT_EXPORTS: &[&str] = &[
     "ServiceMetrics",
     "SetMatch",
     "SetSpan",
-    "SetStream",
     "ShardedPatternSet",
     "ShardedSetStream",
     "SkippedRule",
@@ -65,7 +59,6 @@ const ROOT_EXPORTS: &[&str] = &[
     "mod hw",
     "mod mnrl",
     "mod nca",
-    "mod sched",
     "mod syntax",
     "mod workloads",
 ];
@@ -103,11 +96,8 @@ fn engine_signatures() {
     let _: fn(&Engine, &[u8]) -> Vec<SetSpan> = |e, h| e.scan_spans(h);
     let _: fn(&Engine, &[u8]) -> bool = |e, h| e.is_match(h);
     let _: for<'a> fn(&'a Engine) -> ShardedSetStream<'a> = |e| e.stream();
-    let _: for<'a> fn(&'a Engine) -> FlowScheduler<'a> = |e| e.scheduler();
-    let _: for<'a> fn(&'a Engine, usize) -> FlowScheduler<'a> = |e, w| e.scheduler_with(w);
     let _: fn(&Engine) -> ServiceHandle = |e| e.serve();
     let _: fn(&Engine, usize, ServeConfig) -> ServiceHandle = |e, w, c| e.serve_with(w, c);
-    let _: fn(Engine) -> ServiceHandle = Engine::into_service;
     let _: fn(&Engine) -> ServeConfig = Engine::serve_config;
     let _: fn(&Engine) -> usize = Engine::len;
     let _: fn(&Engine) -> bool = Engine::is_empty;
@@ -119,7 +109,6 @@ fn engine_signatures() {
     let _: fn(&Engine) -> PrefilterMode = Engine::prefilter;
     let _: fn(&Engine) -> usize = Engine::workers;
     let _: for<'a> fn(&'a Engine) -> &'a ShardedPatternSet = |e| e.set();
-    let _: fn(Engine) -> ShardedPatternSet = Engine::into_set;
 }
 
 #[test]
@@ -166,39 +155,12 @@ fn service_handle_signatures() {
 }
 
 #[test]
-fn flow_scheduler_signatures() {
-    let _: fn(&FlowScheduler<'_>, u64, &[u8]) = |s, f, c| s.push(f, c);
-    let _: fn(&FlowScheduler<'_>) = |s| s.run();
-    let _: fn(&FlowScheduler<'_>, u64) = |s, f| s.close(f);
-    let _: fn(&FlowScheduler<'_>, u64) -> Vec<SetMatch> = |s, f| s.poll(f);
-    let _: fn(&FlowScheduler<'_>, u64) -> Vec<SetMatch> = |s, f| s.finishing(f);
-    let _: fn(&FlowScheduler<'_>) -> Vec<FlowMatch> = |s| s.drain_global();
-    let _: fn(&FlowScheduler<'_>) -> usize = |s| s.flow_count();
-    let _: fn(&FlowScheduler<'_>, u64) -> Option<u64> = |s, f| s.flow_len(f);
-    let _: fn(&FlowScheduler<'_>) -> u64 = |s| s.pending_bytes();
-    let _: fn(&FlowScheduler<'_>) -> Option<HybridStats> = |s| s.hybrid_stats();
-    let _: fn(&FlowScheduler<'_>) -> Option<PrefilterMetrics> = |s| s.prefilter_stats();
-}
-
-#[test]
 fn stream_signatures() {
-    let _: fn(&mut SetStream<'_>, &[u8]) -> Vec<SetMatch> = |s, c| s.feed(c).collect();
-    let _: fn(&SetStream<'_>) -> u64 = |s| s.position();
-    let _: fn(&mut SetStream<'_>) = |s| s.reset();
-    let _: fn(SetStream<'_>) -> Vec<SetMatch> = |s| s.finish();
     let _: fn(&mut ShardedSetStream<'_>, &[u8]) -> Vec<SetMatch> = |s, c| s.feed(c).collect();
     let _: fn(&ShardedSetStream<'_>) -> u64 = |s| s.position();
     let _: fn(&ShardedSetStream<'_>) -> usize = |s| s.shard_count();
     let _: fn(&mut ShardedSetStream<'_>) = |s| s.reset();
     let _: fn(ShardedSetStream<'_>) -> Vec<SetMatch> = |s| s.finish();
-}
-
-#[test]
-fn pattern_set_signatures() {
-    // The builder is the one way to compile a ruleset; a single-shard
-    // engine converts into a PatternSet (anything else comes back).
-    let _: fn(&[&str]) -> Result<Vec<Pattern>, CompileError> = |p| PatternSet::compile_baseline(p);
-    let _: fn(Engine) -> Result<PatternSet, Engine> = PatternSet::try_from;
 }
 
 // ---- field pins (struct shapes) ---------------------------------------
@@ -355,10 +317,8 @@ fn prefilter_mode_variants_are_stable() {
 }
 
 #[allow(dead_code)]
-fn pin_match_types(m: SetMatch, s: SetSpan, f: FlowMatch, p: MatchSpan) -> [usize; 8] {
-    [
-        m.pattern, m.end, s.pattern, s.start, s.end, f.pattern, f.end, p.start,
-    ]
+fn pin_match_types(m: SetMatch, s: SetSpan, p: MatchSpan) -> [usize; 6] {
+    [m.pattern, m.end, s.pattern, s.start, s.end, p.start]
 }
 
 #[test]
@@ -388,12 +348,9 @@ fn pin_serve_error(e: ServeError) -> Option<String> {
 fn compile_phase_variants_are_stable() {
     // Matching is exhaustive: a new phase variant must be added here
     // (and to the docs) deliberately.
-    for phase in [CompilePhase::Parse, CompilePhase::Map, CompilePhase::Shard] {
-        let label = match phase {
-            CompilePhase::Parse => "parse",
-            CompilePhase::Map => "map",
-            CompilePhase::Shard => "shard",
-        };
-        assert_eq!(phase.to_string(), label);
-    }
+    let phase = CompilePhase::Parse;
+    let label = match phase {
+        CompilePhase::Parse => "parse",
+    };
+    assert_eq!(phase.to_string(), label);
 }

@@ -1,5 +1,5 @@
 //! The `Engine` facade, end to end: builder → scan / spans / stream /
-//! scheduler / service, structured compile errors, lossy builds,
+//! service, structured compile errors, lossy builds,
 //! backpressure (blocking pushes through a small per-flow budget),
 //! idle-flow eviction, and the stream `reset()` regression (reset +
 //! rescan must equal a fresh scan, `finish()` included). The exact
@@ -7,7 +7,9 @@
 //! workers by the unit tests in `crates/core/src/service.rs`.
 
 use recama::hw::ShardPolicy;
-use recama::{CompilePhase, Engine, RuleMatch, ServeConfig, ServiceHandle, SetMatch};
+use recama::{
+    CompilePhase, Engine, Pattern, RuleMatch, ServeConfig, ServeError, ServiceHandle, SetMatch,
+};
 use std::task::Poll;
 use std::time::Duration;
 
@@ -17,12 +19,8 @@ const HAYSTACK: &[u8] = b"abbc.aaa.xyz.abbbc_k42";
 /// Per-pattern loop baseline for the expected (pattern, end) reports.
 fn baseline(patterns: &[&str], haystack: &[u8]) -> Vec<SetMatch> {
     let mut expected = Vec::new();
-    for (pi, p) in recama::PatternSet::compile_baseline(patterns)
-        .unwrap()
-        .iter()
-        .enumerate()
-    {
-        for end in p.find_ends(haystack) {
+    for (pi, p) in patterns.iter().enumerate() {
+        for end in Pattern::compile(p).unwrap().find_ends(haystack) {
             expected.push(SetMatch { pattern: pi, end });
         }
     }
@@ -207,17 +205,17 @@ fn scheduler_from_engine_serves_flows() {
         .build()
         .unwrap();
     assert_eq!(engine.workers(), 2);
-    let sched = engine.scheduler();
-    sched.push(7, b"..ab");
-    sched.push(9, b"xy");
-    sched.run();
-    sched.push(9, b"z");
-    sched.push(7, b"bc!");
-    sched.run();
-    let hits: Vec<_> = sched.poll(7).iter().map(|m| (m.pattern, m.end)).collect();
-    assert_eq!(hits, vec![(0, 6)]);
-    let hits: Vec<_> = sched.poll(9).iter().map(|m| (m.pattern, m.end)).collect();
-    assert_eq!(hits, vec![(1, 3)]);
+    let svc = engine.serve();
+    assert_eq!(svc.workers(), 2);
+    let (seven, nine) = (svc.open_flow(), svc.open_flow());
+    svc.push(seven, b"..ab");
+    svc.push(nine, b"xy");
+    svc.barrier();
+    svc.push(nine, b"z");
+    svc.push(seven, b"bc!");
+    svc.barrier();
+    assert_eq!(svc.poll(seven), vec![RuleMatch { rule: 0, end: 6 }]);
+    assert_eq!(svc.poll(nine), vec![RuleMatch { rule: 1, end: 3 }]);
 }
 
 #[test]
@@ -401,39 +399,43 @@ fn service_evicts_idle_flows_under_sustained_load() {
 #[test]
 fn service_state_persists_across_runs() {
     let engine = Engine::builder().patterns(["abc"]).build().unwrap();
-    let sched = engine.scheduler();
-    sched.push(1, b"a");
-    sched.run();
-    // Between runs: state intact.
-    assert_eq!(sched.flow_len(1), Some(1));
-    sched.push(1, b"b");
-    assert_eq!(sched.flow_len(1), Some(2));
-    sched.push(1, b"c");
-    sched.run();
-    assert_eq!(sched.poll(1), vec![SetMatch { pattern: 0, end: 3 }]);
+    let svc = engine.serve();
+    let flow = svc.open_flow();
+    svc.push(flow, b"a");
+    svc.barrier();
+    // Between flushes: state intact.
+    assert_eq!(svc.flow_len(flow), Some(1));
+    svc.push(flow, b"b");
+    assert_eq!(svc.flow_len(flow), Some(2));
+    svc.push(flow, b"c");
+    svc.barrier();
+    assert_eq!(svc.poll(flow), vec![RuleMatch { rule: 0, end: 3 }]);
 }
 
 #[test]
-fn closed_flows_reject_pushes_until_drained_then_reopen() {
+fn closed_flows_reject_pushes_and_keep_reports_until_drained() {
     // The rejection of a push to a closed, undrained flow is pinned
     // deterministically (no workers) by the unit tests in
-    // `crates/core/src/service.rs`; here the drained flow reopens.
+    // `crates/core/src/service.rs`; here the flow has drained.
     let engine = Engine::builder().patterns(["ab"]).build().unwrap();
-    let sched = engine.scheduler();
-    sched.push(3, b"ab");
-    sched.close(3);
-    sched.run();
-    // Drained: the same id reopens as a fresh flow at position 0.
-    sched.push(3, b"ab");
-    assert_eq!(sched.flow_len(3), Some(2));
-    sched.run();
-    assert_eq!(
-        sched.poll(3),
-        vec![
-            SetMatch { pattern: 0, end: 2 }, // first incarnation
-            SetMatch { pattern: 0, end: 2 }, // reopened at position 0
-        ]
-    );
+    let svc = engine.serve();
+    let first = svc.open_flow();
+    svc.push(first, b"ab");
+    svc.close(first);
+    svc.barrier();
+    // Closed: the id takes no more bytes, but its report stays queued.
+    assert_eq!(svc.try_push(first, b"ab"), Poll::Pending);
+    assert_eq!(svc.push_checked(first, b"ab"), Err(ServeError::Closed));
+    assert_eq!(svc.flow_len(first), Some(2));
+    // A new flow starts fresh at position 0.
+    let second = svc.open_flow();
+    svc.push(second, b"ab");
+    assert_eq!(svc.flow_len(second), Some(2));
+    svc.barrier();
+    assert_eq!(svc.poll(first), vec![RuleMatch { rule: 0, end: 2 }]);
+    assert_eq!(svc.poll(second), vec![RuleMatch { rule: 0, end: 2 }]);
+    // Drained: the first id went stale.
+    assert!(!svc.is_live(first));
 }
 
 #[test]

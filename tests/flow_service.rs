@@ -1,17 +1,23 @@
-//! Differential testing of the many-flow scheduling layer: for ANY
+//! Differential testing of the many-flow serving layer: for ANY
 //! interleaving of chunks across flows, any worker-pool size, and any
-//! shard plan, [`FlowScheduler`] must deliver per-flow reports
+//! shard plan, a [`ServiceHandle`] must deliver per-flow reports
 //! **byte-identical** (same reports, same order) to feeding each flow's
 //! chunks through its own independent [`ShardedSetStream`] — plus the
 //! edge cases a serving layer meets: zero-length chunks, one flow
-//! spread over many workers, many flows on one worker, and flow ids
-//! closed and reopened.
+//! spread over many workers, many flows on one worker, and flows closed
+//! and replaced by fresh ones.
+//!
+//! Every engine here uses default rule ids, so a served
+//! [`RuleMatch::rule`] is the stream's pattern index.
+//!
+//! [`ServiceHandle`]: recama::ServiceHandle
+//! [`ShardedSetStream`]: recama::ShardedSetStream
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use recama::hw::ShardPolicy;
 use recama::workloads::{generate, traffic, BenchmarkId, PatternClass};
-use recama::{Engine, FlowMatch, SetMatch};
+use recama::{Engine, FlowId, RuleMatch, ServeConfig, ServiceHandle, SetMatch};
 use std::collections::HashMap;
 
 /// The parseable patterns of a scaled synthetic ruleset, bounded to keep
@@ -56,12 +62,26 @@ fn build<S: AsRef<str>>(patterns: &[S], policy: ShardPolicy) -> Engine {
         .unwrap()
 }
 
+/// A service over `engine` with `workers` workers and the default
+/// budgets.
+fn serve(engine: &Engine, workers: usize) -> ServiceHandle {
+    engine.serve_with(workers, ServeConfig::default())
+}
+
+/// A stream report as the service reports it (default rule ids).
+fn rule_match(m: SetMatch) -> RuleMatch {
+    RuleMatch {
+        rule: m.pattern as u64,
+        end: m.end as u64,
+    }
+}
+
 /// What an independent per-flow stream reports for this chunk sequence.
-fn expected_for(engine: &Engine, chunks: &[&[u8]]) -> Vec<SetMatch> {
+fn expected_for(engine: &Engine, chunks: &[&[u8]]) -> Vec<RuleMatch> {
     let mut stream = engine.stream();
     let mut out = Vec::new();
     for chunk in chunks {
-        out.extend(stream.feed(chunk));
+        out.extend(stream.feed(chunk).map(rule_match));
     }
     out
 }
@@ -102,40 +122,43 @@ fn randomized_interleavings_match_independent_streams() {
         }
 
         for workers in [1usize, 4] {
-            let sched = engine.scheduler_with(workers);
+            let svc = serve(&engine, workers);
+            let ids: Vec<FlowId> = flows.iter().map(|_| svc.open_flow()).collect();
             let mut cursors = vec![0usize; flows.len()];
             for (ei, &fi) in events.iter().enumerate() {
-                sched.push(fi as u64, chunked[fi][cursors[fi]]);
+                svc.push(ids[fi], chunked[fi][cursors[fi]]);
                 cursors[fi] += 1;
-                // Run at arbitrary points mid-stream, not just at the end.
+                // Flush at arbitrary points mid-stream, not just at the end.
                 if ei % 17 == 0 {
-                    sched.run();
+                    svc.barrier();
                 }
             }
-            sched.run();
+            svc.barrier();
 
-            let mut global = sched.drain_global();
+            let global = svc.drain_global();
             for (fi, chunks) in chunked.iter().enumerate() {
                 let expected = expected_for(&engine, chunks);
                 assert_eq!(
-                    sched.poll(fi as u64),
+                    svc.poll(ids[fi]),
                     expected,
                     "seed {seed}, {workers} worker(s), flow {fi}: \
-                     scheduler output diverges from an independent stream"
+                     served output diverges from an independent stream"
                 );
                 // The global sink holds the same matches, flow-attributed.
-                let mut from_sink: Vec<SetMatch> = global
+                let mut from_sink: Vec<RuleMatch> = global
                     .iter()
-                    .filter(|m| m.flow == fi as u64)
-                    .map(FlowMatch::set_match)
+                    .filter(|ev| ev.flow == ids[fi])
+                    .map(|ev| RuleMatch {
+                        rule: ev.rule,
+                        end: ev.end,
+                    })
                     .collect();
                 from_sink.sort();
                 let mut expected_sorted = expected;
                 expected_sorted.sort();
                 assert_eq!(from_sink, expected_sorted, "global sink, flow {fi}");
             }
-            global.clear();
-            assert_eq!(sched.pending_bytes(), 0);
+            assert_eq!(svc.pending_bytes(), 0);
         }
     }
 }
@@ -149,15 +172,16 @@ fn single_flow_spreads_over_many_workers() {
     let ruleset = generate(BenchmarkId::Snort, 0.004, 7);
     let input = traffic(&ruleset, 8 * 1024, 0.002, 7);
 
-    let sched = engine.scheduler_with(8);
+    let svc = serve(&engine, 8);
+    let flow = svc.open_flow();
     let mut expected = Vec::new();
     let mut stream = engine.stream();
     for chunk in input.chunks(512) {
-        sched.push(42, chunk);
-        expected.extend(stream.feed(chunk));
+        svc.push(flow, chunk);
+        expected.extend(stream.feed(chunk).map(rule_match));
     }
-    sched.run();
-    assert_eq!(sched.poll(42), expected);
+    svc.barrier();
+    assert_eq!(svc.poll(flow), expected);
 }
 
 #[test]
@@ -166,28 +190,29 @@ fn many_flows_on_one_worker() {
     let engine = build(&patterns, ShardPolicy::Fixed(2));
     let ruleset = generate(BenchmarkId::Suricata, 0.004, 1);
 
-    let sched = engine.scheduler_with(1);
+    let svc = serve(&engine, 1);
     let flows: Vec<Vec<u8>> = (0..32)
         .map(|fi| traffic(&ruleset, 512, 0.002, 100 + fi))
         .collect();
-    // Round-robin pushes, single run.
+    let ids: Vec<FlowId> = flows.iter().map(|_| svc.open_flow()).collect();
+    // Round-robin pushes, single flush.
     for chunk_round in 0..4 {
         for (fi, bytes) in flows.iter().enumerate() {
             let quarter = bytes.len() / 4;
-            sched.push(
-                fi as u64,
+            svc.push(
+                ids[fi],
                 &bytes[chunk_round * quarter..(chunk_round + 1) * quarter],
             );
         }
     }
-    sched.run();
+    svc.barrier();
     for (fi, bytes) in flows.iter().enumerate() {
         let quarter = bytes.len() / 4;
         let chunks: Vec<&[u8]> = (0..4)
             .map(|r| &bytes[r * quarter..(r + 1) * quarter])
             .collect();
         assert_eq!(
-            sched.poll(fi as u64),
+            svc.poll(ids[fi]),
             expected_for(&engine, &chunks),
             "flow {fi}"
         );
@@ -197,33 +222,41 @@ fn many_flows_on_one_worker() {
 #[test]
 fn close_and_reopen_cycles_keep_flows_independent() {
     let engine = build(&["ab{2}c", "xyz"], ShardPolicy::Fixed(2));
-    let sched = engine.scheduler_with(2);
+    let svc = serve(&engine, 2);
 
-    // Three incarnations of the same flow id, each a fresh stream: the
-    // match must be found at the *incarnation-local* offset every time,
-    // proving no engine state leaks across close/reopen.
+    // Three flows in turn reuse one recycled slot, each a fresh stream:
+    // the match must be found at the *flow-local* offset every time,
+    // proving no engine state leaks across close and reuse.
+    let mut previous: Option<FlowId> = None;
     for incarnation in 0..3u64 {
-        sched.push(9, b"..ab");
-        sched.push(9, b"bc");
-        sched.close(9);
-        sched.run();
+        let flow = svc.open_flow();
+        if let Some(previous) = previous {
+            assert_eq!(flow.index(), previous.index(), "the slot is recycled");
+            assert!(!svc.is_live(previous), "the old id went stale");
+        }
+        svc.push(flow, b"..ab");
+        svc.push(flow, b"bc");
+        svc.close(flow);
+        svc.barrier();
         assert_eq!(
-            sched.poll(9),
-            vec![SetMatch { pattern: 0, end: 6 }],
+            svc.poll(flow),
+            vec![RuleMatch { rule: 0, end: 6 }],
             "incarnation {incarnation}"
         );
-        assert_eq!(sched.flow_count(), 0, "drained flows are forgotten");
+        assert_eq!(svc.flow_count(), 0, "drained flows are forgotten");
+        previous = Some(flow);
     }
 
     // A flow closed while another stays open: the survivor is unaffected.
-    sched.push(1, b"xy");
-    sched.push(2, b"..a");
-    sched.close(1);
-    sched.run();
-    sched.push(2, b"bbc");
-    sched.run();
-    assert!(sched.poll(1).is_empty());
-    assert_eq!(sched.poll(2), vec![SetMatch { pattern: 0, end: 6 }]);
+    let (one, two) = (svc.open_flow(), svc.open_flow());
+    svc.push(one, b"xy");
+    svc.push(two, b"..a");
+    svc.close(one);
+    svc.barrier();
+    svc.push(two, b"bbc");
+    svc.barrier();
+    assert!(svc.poll(one).is_empty());
+    assert_eq!(svc.poll(two), vec![RuleMatch { rule: 0, end: 6 }]);
 }
 
 #[test]
@@ -234,42 +267,48 @@ fn closed_flows_finish_like_their_streams() {
     let dollar = [true, false, true, false];
 
     let inputs: [&[u8]; 4] = [b"xx.ab", b"cd.aaa", b"ab.cd.ab", b""];
-    let sched = engine.scheduler_with(2);
+    let svc = serve(&engine, 2);
+    let ids: Vec<FlowId> = inputs.iter().map(|_| svc.open_flow()).collect();
     for (fi, bytes) in inputs.iter().enumerate() {
         for chunk in bytes.chunks(2) {
-            sched.push(fi as u64, chunk);
+            svc.push(ids[fi], chunk);
         }
-        sched.close(fi as u64);
+        svc.close(ids[fi]);
     }
-    sched.run();
+    svc.barrier();
     for (fi, bytes) in inputs.iter().enumerate() {
         // Non-$ polled reports + the finishing set == the one-shot
         // $-filtered scan of the whole flow.
-        let mut got: Vec<SetMatch> = sched
-            .poll(fi as u64)
+        let mut got: Vec<RuleMatch> = svc
+            .poll(ids[fi])
             .into_iter()
-            .filter(|m| !dollar[m.pattern])
+            .filter(|m| !dollar[m.rule as usize])
             .collect();
-        got.extend(sched.finishing(fi as u64));
-        got.sort_by_key(|m| (m.end, m.pattern)); // find_ends' stream order
-        assert_eq!(got, engine.scan(bytes), "flow {fi}");
+        got.extend(svc.finishing(ids[fi]));
+        got.sort_by_key(|m| (m.end, m.rule)); // scan's stream order
+        let expected: Vec<RuleMatch> = engine.scan(bytes).into_iter().map(rule_match).collect();
+        assert_eq!(got, expected, "flow {fi}");
     }
 }
 
 #[test]
 fn reports_group_by_flow_consistently_between_queue_and_sink() {
     let engine = build(&["kk"], ShardPolicy::Single);
-    let sched = engine.scheduler_with(3);
-    for flow in 0..10u64 {
-        sched.push(flow, b"..kk..kk");
+    let svc = serve(&engine, 3);
+    let ids: Vec<FlowId> = (0..10).map(|_| svc.open_flow()).collect();
+    for &flow in &ids {
+        svc.push(flow, b"..kk..kk");
     }
-    sched.run();
-    let mut by_flow: HashMap<u64, Vec<SetMatch>> = HashMap::new();
-    for m in sched.drain_global() {
-        by_flow.entry(m.flow).or_default().push(m.set_match());
+    svc.barrier();
+    let mut by_flow: HashMap<FlowId, Vec<RuleMatch>> = HashMap::new();
+    for ev in svc.drain_global() {
+        by_flow.entry(ev.flow).or_default().push(RuleMatch {
+            rule: ev.rule,
+            end: ev.end,
+        });
     }
-    for flow in 0..10u64 {
-        let polled = sched.poll(flow);
+    for &flow in &ids {
+        let polled = svc.poll(flow);
         assert_eq!(polled.len(), 2);
         assert_eq!(by_flow.remove(&flow).unwrap(), polled, "flow {flow}");
     }

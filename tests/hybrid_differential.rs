@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 use recama::hw::ShardPolicy;
-use recama::{Engine, Pattern, PrefilterMode, ScanMode, SetMatch};
+use recama::{Engine, Pattern, PrefilterMode, RuleMatch, ScanMode, ServeConfig, SetMatch};
 
 /// Pattern pool the properties sample rulesets from: the left column is
 /// pure (counter-free after compilation, so the overlay can stay in DFA
@@ -172,10 +172,11 @@ fn scheduler_reports_hybrid_stats_only_in_hybrid_mode() {
     let input = b"zabcz.abbc.abbbc.abc";
 
     let hybrid = engine(&patterns, ScanMode::Hybrid { state_budget: 128 });
-    let sched = hybrid.scheduler();
-    sched.push(1, input);
-    sched.run();
-    let stats = sched.hybrid_stats().expect("hybrid mode exposes stats");
+    let svc = hybrid.serve();
+    let flow = svc.open_flow();
+    svc.push(flow, input);
+    svc.barrier();
+    let stats = svc.metrics().hybrid.expect("hybrid mode exposes stats");
     assert_eq!(
         stats.dfa_bytes + stats.fallback_bytes,
         input.len() as u64,
@@ -184,10 +185,11 @@ fn scheduler_reports_hybrid_stats_only_in_hybrid_mode() {
     assert!(stats.dfa_states > 0, "the overlay cached at least q0");
 
     let exact = engine(&patterns, ScanMode::Nca);
-    let sched = exact.scheduler();
-    sched.push(1, input);
-    sched.run();
-    assert_eq!(sched.hybrid_stats(), None, "Nca mode has no overlay");
+    let svc = exact.serve();
+    let flow = svc.open_flow();
+    svc.push(flow, input);
+    svc.barrier();
+    assert_eq!(svc.metrics().hybrid, None, "Nca mode has no overlay");
 }
 
 /// Rules on both sides of the shared search state's eligibility test:
@@ -244,16 +246,25 @@ fn streamed(engine: &Engine, input: &[u8], chunk_len: usize) -> Streamed {
     (reports, stream.finish())
 }
 
-/// The same pair from one closed scheduler flow (polls, like `feed`,
-/// carry every `$` candidate).
-fn scheduled(engine: &Engine, input: &[u8], chunk_len: usize) -> Streamed {
-    let sched = engine.scheduler_with(2);
+/// The same pair from one closed served flow (polls, like `feed`,
+/// carry every `$` candidate). Rule ids default to pattern indices.
+fn served(engine: &Engine, input: &[u8], chunk_len: usize) -> Streamed {
+    let svc = engine.serve_with(2, ServeConfig::default());
+    let flow = svc.open_flow();
     for chunk in input.chunks(chunk_len) {
-        sched.push(3, chunk);
+        svc.push(flow, chunk);
     }
-    sched.close(3);
-    sched.run();
-    (sched.poll(3), sched.finishing(3))
+    svc.close(flow);
+    svc.barrier();
+    let as_set = |hits: Vec<RuleMatch>| -> Vec<SetMatch> {
+        hits.into_iter()
+            .map(|m| SetMatch {
+                pattern: m.rule as usize,
+                end: m.end as usize,
+            })
+            .collect()
+    };
+    (as_set(svc.poll(flow)), as_set(svc.finishing(flow)))
 }
 
 #[test]
@@ -303,9 +314,9 @@ fn shared_search_state_eligibility_edges_match_the_oracle() {
                 );
                 for engine in [&exact, &hybrid] {
                     assert_eq!(
-                        scheduled(engine, &input, chunk_len),
+                        served(engine, &input, chunk_len),
                         reference,
-                        "{ctx}: {:?} scheduler vs Nca stream",
+                        "{ctx}: {:?} service vs Nca stream",
                         engine.scan_mode()
                     );
                 }

@@ -1,6 +1,7 @@
 //! Differential testing of the multi-pattern subsystem: on synthetic
 //! Snort- and Suricata-profile rulesets (several seeds, small scale), the
-//! shared [`PatternSet`] engine must report exactly the union of
+//! single-shard ([`ShardPolicy::Single`]) [`Engine`] — one merged
+//! network, one shared automaton — must report exactly the union of
 //! per-[`Pattern`] results tagged by pattern id, chunked streaming must
 //! agree with one-shot scanning at every chunk boundary, and the merged
 //! MNRL network must validate, place, and carry per-pattern report ids.
@@ -8,16 +9,15 @@
 use recama::compiler::CompileOptions;
 use recama::hw::ShardPolicy;
 use recama::workloads::{generate, traffic, BenchmarkId, PatternClass};
-use recama::{Engine, Pattern, PatternSet, SetMatch};
+use recama::{Engine, Pattern, SetMatch};
 
 /// The single-shard set over `patterns`, through the builder.
-fn pattern_set(patterns: &[String]) -> PatternSet {
-    let engine = Engine::builder()
+fn pattern_set(patterns: &[String]) -> Engine {
+    Engine::builder()
         .patterns(patterns)
         .shard_policy(ShardPolicy::Single)
         .build()
-        .unwrap();
-    PatternSet::try_from(engine).unwrap()
+        .unwrap()
 }
 
 /// The parseable patterns of a scaled synthetic ruleset, bounded to keep
@@ -59,7 +59,7 @@ fn snort_and_suricata_sets_match_per_pattern_union() {
             let ruleset = generate(id, 0.004, seed);
             let input = traffic(&ruleset, 4096, 0.002, seed);
 
-            let mut got = set.find_ends(&input);
+            let mut got = set.scan(&input);
             got.sort();
             assert_eq!(
                 got,
@@ -80,20 +80,20 @@ fn one_percent_snort_acceptance() {
 
     // One merged network, valid, every pattern represented by report id.
     assert!(
-        set.network().validate().is_empty(),
+        set.network(0).validate().is_empty(),
         "{:?}",
-        set.network().validate()
+        set.network(0).validate()
     );
     let expected_ids: Vec<u32> = (0..patterns.len() as u32).collect();
-    assert_eq!(set.network().report_ids(), expected_ids);
+    assert_eq!(set.network(0).report_ids(), expected_ids);
 
     // Placement covers the merged image.
-    let placement = recama::hw::place(set.network());
-    assert_eq!(placement.per_node.len(), set.network().node_count());
+    let placement = recama::hw::place(set.network(0));
+    assert_eq!(placement.per_node.len(), set.network(0).node_count());
 
     let ruleset = generate(BenchmarkId::Snort, 0.01, 2022);
     let input = traffic(&ruleset, 4096, 0.001, 2022);
-    let mut got = set.find_ends(&input);
+    let mut got = set.scan(&input);
     got.sort();
     assert_eq!(got, union_of_per_pattern_matches(&patterns, &input));
 }
@@ -172,7 +172,7 @@ fn hardware_reports_agree_with_software_on_the_merged_image() {
     let ruleset = generate(BenchmarkId::Suricata, 0.002, 13);
     let input = traffic(&ruleset, 1024, 0.004, 13);
 
-    let mut hw = set.hardware();
+    let mut hw = set.hardware(0);
     let mut hw_reports: Vec<SetMatch> = hw
         .match_ends_by_rule(&input)
         .into_iter()
@@ -182,7 +182,7 @@ fn hardware_reports_agree_with_software_on_the_merged_image() {
         })
         .collect();
     hw_reports.sort();
-    let mut sw_reports = set.find_ends(&input);
+    let mut sw_reports = set.scan(&input);
     sw_reports.sort();
     assert_eq!(
         hw_reports, sw_reports,

@@ -13,7 +13,7 @@
 //! flow's filter state intact.
 
 use proptest::prelude::*;
-use recama::{Engine, Pattern, PrefilterMode, SetMatch};
+use recama::{Engine, Pattern, PrefilterMode, RuleMatch, ServeConfig, ServiceHandle, SetMatch};
 
 /// Pattern pool the properties sample rulesets from: the left column
 /// carries a usable required literal (contiguous singleton-byte run at
@@ -69,15 +69,31 @@ fn chunked_reports(engine: &Engine, input: &[u8], chunk_len: usize) -> Vec<SetMa
     out
 }
 
-/// Pushes `input` through a one-flow scheduler in `chunk_len` chunks —
-/// the checkout-skipping path, as opposed to the in-stream gate.
-fn scheduled_reports(engine: &Engine, input: &[u8], chunk_len: usize) -> Vec<SetMatch> {
-    let sched = engine.scheduler_with(2);
+/// Stream reports as the service reports them (default rule ids).
+fn rule_matches(hits: &[SetMatch]) -> Vec<RuleMatch> {
+    hits.iter()
+        .map(|m| RuleMatch {
+            rule: m.pattern as u64,
+            end: m.end as u64,
+        })
+        .collect()
+}
+
+/// A two-worker service over `engine` with the default budgets.
+fn serve(engine: &Engine) -> ServiceHandle {
+    engine.serve_with(2, ServeConfig::default())
+}
+
+/// Pushes `input` through one served flow in `chunk_len` chunks — the
+/// checkout-skipping path, as opposed to the in-stream gate.
+fn served_reports(engine: &Engine, input: &[u8], chunk_len: usize) -> Vec<RuleMatch> {
+    let svc = serve(engine);
+    let flow = svc.open_flow();
     for chunk in input.chunks(chunk_len.max(1)) {
-        sched.push(7, chunk);
+        svc.push(flow, chunk);
     }
-    sched.run();
-    sched.poll(7)
+    svc.barrier();
+    svc.poll(flow)
 }
 
 proptest! {
@@ -114,11 +130,11 @@ proptest! {
         prop_assert_eq!(&streamed_on, &streamed_off, "stream diverges");
         prop_assert_eq!(&streamed_on, &got_on, "stream diverges from block scan");
 
-        // Scheduler checkout skipping: same contract once more.
+        // Service checkout skipping: same contract once more.
         prop_assert_eq!(
-            scheduled_reports(&on, &input, chunk_len),
-            streamed_on,
-            "scheduler diverges"
+            served_reports(&on, &input, chunk_len),
+            rule_matches(&streamed_on),
+            "service diverges"
         );
     }
 }
@@ -140,13 +156,18 @@ fn literals_split_across_every_chunk_boundary() {
             got.extend(stream.feed(&input[cut..]));
             assert_eq!(got, oneshot, "cut at {cut}");
         }
-        // And through the scheduler, where the cold-unit skip rewinds
+        // And through the service, where the cold-unit skip rewinds
         // the parked engine rather than feeding it.
-        let sched = on.scheduler_with(2);
-        sched.push(1, &input[..cut]);
-        sched.push(1, &input[cut..]);
-        sched.run();
-        assert_eq!(sched.poll(1), oneshot, "scheduler cut at {cut}");
+        let svc = serve(&on);
+        let flow = svc.open_flow();
+        svc.push(flow, &input[..cut]);
+        svc.push(flow, &input[cut..]);
+        svc.barrier();
+        assert_eq!(
+            svc.poll(flow),
+            rule_matches(&oneshot),
+            "service cut at {cut}"
+        );
     }
 }
 
@@ -163,15 +184,17 @@ fn always_on_only_rulesets_never_skip_and_never_miss() {
     let input = b"..ba..xyxy..42x..ba";
     assert_eq!(on.scan(input), off.scan(input));
 
-    let sched = on.scheduler_with(2);
+    let svc = serve(&on);
+    let flow = svc.open_flow();
     for chunk in input.chunks(3) {
-        sched.push(1, chunk);
+        svc.push(flow, chunk);
     }
-    sched.run();
-    assert_eq!(sched.poll(1), off.scan(input));
+    svc.barrier();
+    assert_eq!(svc.poll(flow), rule_matches(&off.scan(input)));
 
-    let stats = sched
-        .prefilter_stats()
+    let stats = svc
+        .metrics()
+        .prefilter
         .expect("prefilter is on, so stats exist");
     assert_eq!(stats.always_on_rules, patterns.len());
     assert_eq!(
@@ -195,16 +218,17 @@ fn benign_traffic_skips_while_reports_stay_empty_and_identical() {
     assert_eq!(on.scan(&input), off.scan(&input));
     assert!(on.scan(&input).is_empty());
 
-    let sched = on.scheduler_with(2);
+    let svc = serve(&on);
+    let (one, two) = (svc.open_flow(), svc.open_flow());
     for chunk in input.chunks(256) {
-        sched.push(1, chunk);
-        sched.push(2, chunk);
+        svc.push(one, chunk);
+        svc.push(two, chunk);
     }
-    sched.run();
-    assert!(sched.poll(1).is_empty());
-    assert!(sched.poll(2).is_empty());
+    svc.barrier();
+    assert!(svc.poll(one).is_empty());
+    assert!(svc.poll(two).is_empty());
 
-    let stats = sched.prefilter_stats().expect("prefilter is on");
+    let stats = svc.metrics().prefilter.expect("prefilter is on");
     assert_eq!(stats.always_on_rules, 0);
     assert!(
         stats.total_skipped_units() > 0,

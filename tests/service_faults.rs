@@ -17,7 +17,7 @@
 
 use recama::{
     Engine, FaultPlan, FlowId, OverloadPolicy, RuleMatch, ServeConfig, ServeError, ServiceHandle,
-    ServiceMetrics, SetMatch,
+    ServiceMetrics,
 };
 use std::time::Duration;
 
@@ -143,48 +143,6 @@ fn one_panic_quarantines_one_flow_and_the_rest_keep_flowing() {
     svc.barrier();
     assert_eq!(svc.poll(fresh), scan_oracle(&engine, b".abbc.", 0));
     svc.shutdown();
-}
-
-/// The batch scheduler rides the same core: a panic inside one flow's
-/// scan quarantines only that flow, `run()` still returns, and every
-/// other flow stays byte-identical to its own independent stream. The
-/// quarantined id keeps its pre-fault reports and reopens fresh on the
-/// next push, like any finished flow.
-#[test]
-fn scheduler_run_survives_a_scan_panic_and_spares_other_flows() {
-    let chunks: &[&[u8]] = &[b".abbc.", b"k12m..", b"xyz.ab", b"bc.xyz"];
-    let plan = FaultPlan::new().panic_at(1, 0, 2, "injected: flow 1 dies at scan 2");
-    let engine = engine_with(plan, 2);
-    let stream_of = |parts: &[&[u8]]| {
-        let mut stream = engine.stream();
-        parts
-            .iter()
-            .flat_map(|part| stream.feed(part).collect::<Vec<SetMatch>>())
-            .collect::<Vec<SetMatch>>()
-    };
-
-    let sched = engine.scheduler();
-    for chunk in chunks {
-        // Flows open in id order, so flow id = open order = fault address.
-        for flow in 0..4u64 {
-            sched.push(flow, chunk);
-        }
-        sched.run(); // must return even across the injected panic
-    }
-    assert_eq!(sched.pending_bytes(), 0);
-
-    for flow in [0u64, 2, 3] {
-        assert_eq!(
-            sched.poll(flow),
-            stream_of(chunks),
-            "non-faulted flow {flow} must not notice the fault"
-        );
-    }
-    // Flow 1: the pre-fault reports, then a fresh incarnation over the
-    // chunks pushed after the fault (its round-2 chunk died with it).
-    let mut expected = stream_of(&chunks[..1]);
-    expected.extend(stream_of(&chunks[2..]));
-    assert_eq!(sched.poll(1), expected);
 }
 
 /// The chaos differential: randomized fault placements × worker counts

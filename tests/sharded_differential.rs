@@ -1,7 +1,7 @@
 //! Differential testing of the sharding layer: for any shard plan —
 //! bank-budget next-fit, fixed shard counts, and the trivial `N = 1`
-//! partition — [`ShardedPatternSet`] must report **byte-for-byte** what
-//! the unsharded [`PatternSet`] reports on Snort/Suricata-profile
+//! partition — a sharded [`Engine`] must report **byte-for-byte** what
+//! the unsharded ([`ShardPolicy::Single`]) engine reports on Snort/Suricata-profile
 //! rulesets across seeds (same reports, same order), sharded chunked
 //! streaming must agree with one-shot scanning at every chunk boundary,
 //! per-shard machine images must validate and respect the bank budget,
@@ -10,7 +10,7 @@
 
 use recama::hw::{RuleCost, ShardBudget, ShardPolicy};
 use recama::workloads::{generate, traffic, BenchmarkId, PatternClass};
-use recama::{Engine, Pattern, PatternSet, SetMatch, ShardedPatternSet};
+use recama::{Engine, Pattern, SetMatch};
 
 /// The engine over `patterns` under a shard `policy`.
 fn engine(patterns: &[String], policy: ShardPolicy) -> Engine {
@@ -19,16 +19,6 @@ fn engine(patterns: &[String], policy: ShardPolicy) -> Engine {
         .shard_policy(policy)
         .build()
         .unwrap()
-}
-
-/// The sharded set over `patterns` under a shard `policy`.
-fn sharded(patterns: &[String], policy: ShardPolicy) -> ShardedPatternSet {
-    engine(patterns, policy).into_set()
-}
-
-/// The single-shard set over `patterns`.
-fn pattern_set(patterns: &[String]) -> PatternSet {
-    PatternSet::try_from(engine(patterns, ShardPolicy::Single)).unwrap()
 }
 
 /// The parseable patterns of a scaled synthetic ruleset, bounded to keep
@@ -63,10 +53,10 @@ fn sharded_reports_equal_unsharded_across_policies_and_seeds() {
         for seed in [1u64, 7, 2022] {
             let patterns = sample_patterns(id, 0.004, seed, 400);
             assert!(patterns.len() >= 10, "{id:?}/{seed}: degenerate sample");
-            let single = pattern_set(&patterns);
+            let single = engine(&patterns, ShardPolicy::Single);
             let ruleset = generate(id, 0.004, seed);
             let input = traffic(&ruleset, 4096, 0.002, seed);
-            let expected = single.find_ends(&input);
+            let expected = single.scan(&input);
 
             for policy in [
                 ShardPolicy::Single,
@@ -75,10 +65,10 @@ fn sharded_reports_equal_unsharded_across_policies_and_seeds() {
                 ShardPolicy::Fixed(7),
                 tiny_budget(),
             ] {
-                let sharded = sharded(&patterns, policy);
+                let sharded = engine(&patterns, policy);
                 // Byte-identical: same reports in the same order, no sort.
                 assert_eq!(
-                    sharded.find_ends(&input),
+                    sharded.scan(&input),
                     expected,
                     "{id:?} seed {seed} policy {policy:?}: sharded scan diverges"
                 );
@@ -102,7 +92,7 @@ fn bank_budget_produces_contiguous_shards_within_budget() {
         .build()
         .unwrap();
     assert!(engine.skipped().is_empty());
-    let set = engine.into_set();
+    let set = engine.set();
     assert!(
         set.shard_count() > 1,
         "tiny budget must force several shards"
@@ -140,7 +130,7 @@ fn bank_budget_produces_contiguous_shards_within_budget() {
 fn sharded_chunked_streaming_agrees_with_oneshot_at_every_boundary() {
     for (id, seed) in [(BenchmarkId::Snort, 3u64), (BenchmarkId::Suricata, 11)] {
         let patterns = sample_patterns(id, 0.003, seed, 300);
-        let set = sharded(&patterns, ShardPolicy::Fixed(4));
+        let set = engine(&patterns, ShardPolicy::Fixed(4));
         let ruleset = generate(id, 0.003, seed);
         let input = traffic(&ruleset, 2048, 0.003, seed);
 
@@ -167,8 +157,8 @@ fn sharded_stream_agrees_with_unsharded_stream_on_large_chunks() {
     // Chunks above the parallel-feed threshold exercise the scoped-thread
     // fan-out path; the reports must match the single-engine stream.
     let patterns = sample_patterns(BenchmarkId::Snort, 0.004, 5, 400);
-    let single = pattern_set(&patterns);
-    let sharded = sharded(&patterns, ShardPolicy::Fixed(3));
+    let single = engine(&patterns, ShardPolicy::Single);
+    let sharded = engine(&patterns, ShardPolicy::Fixed(3));
     let ruleset = generate(BenchmarkId::Snort, 0.004, 5);
     let input = traffic(&ruleset, 3 * 8192, 0.002, 5);
 
@@ -191,7 +181,7 @@ fn streaming_matches_survive_pathological_boundaries_under_sharding() {
         "k[ab]{3,9}z".into(),
         "exact{2}".into(),
     ];
-    let set = sharded(&patterns, ShardPolicy::Fixed(3));
+    let set = engine(&patterns, ShardPolicy::Fixed(3));
     assert_eq!(set.shard_count(), 3);
     let input = b"..header1234end..kabababz..exactexact..";
     let mut oneshot_stream = set.stream();
@@ -208,7 +198,7 @@ fn streaming_matches_survive_pathological_boundaries_under_sharding() {
 #[test]
 fn set_spans_equal_per_pattern_spans() {
     let patterns = sample_patterns(BenchmarkId::Suricata, 0.002, 13, 120);
-    let sharded = sharded(&patterns, ShardPolicy::Fixed(4));
+    let sharded = engine(&patterns, ShardPolicy::Fixed(4));
     let ruleset = generate(BenchmarkId::Suricata, 0.002, 13);
     let input = traffic(&ruleset, 2048, 0.004, 13);
 
@@ -221,7 +211,7 @@ fn set_spans_equal_per_pattern_spans() {
     }
     expected.sort();
     let mut got: Vec<(usize, usize, usize)> = sharded
-        .find_spans(&input)
+        .scan_spans(&input)
         .into_iter()
         .map(|s| (s.pattern, s.start, s.end))
         .collect();
@@ -229,9 +219,9 @@ fn set_spans_equal_per_pattern_spans() {
     assert_eq!(got, expected, "sharded spans diverge from per-pattern");
 
     // The unsharded set agrees too (same code path, N = 1).
-    let single = pattern_set(&patterns);
+    let single = engine(&patterns, ShardPolicy::Single);
     let mut got_single: Vec<(usize, usize, usize)> = single
-        .find_spans(&input)
+        .scan_spans(&input)
         .into_iter()
         .map(|s| (s.pattern, s.start, s.end))
         .collect();
@@ -242,7 +232,7 @@ fn set_spans_equal_per_pattern_spans() {
 #[test]
 fn sharded_hardware_images_agree_with_software() {
     let patterns = sample_patterns(BenchmarkId::Suricata, 0.002, 13, 120);
-    let set = sharded(&patterns, ShardPolicy::Fixed(3));
+    let set = engine(&patterns, ShardPolicy::Fixed(3));
     let ruleset = generate(BenchmarkId::Suricata, 0.002, 13);
     let input = traffic(&ruleset, 1024, 0.004, 13);
 
@@ -259,7 +249,7 @@ fn sharded_hardware_images_agree_with_software() {
         );
     }
     hw_reports.sort();
-    let mut sw_reports = set.find_ends(&input);
+    let mut sw_reports = set.scan(&input);
     sw_reports.sort();
     assert_eq!(
         hw_reports, sw_reports,
@@ -272,7 +262,7 @@ fn sharded_streams_move_across_threads() {
     // One resumable engine state per shard per flow, with flows owned by
     // worker threads — the multi-stream scheduler shape.
     let patterns: Vec<String> = vec!["flow[0-9]{2}end".into(), "k[ab]{2,5}z".into()];
-    let set = sharded(&patterns, ShardPolicy::Fixed(2));
+    let set = engine(&patterns, ShardPolicy::Fixed(2));
     let flows: [&[u8]; 2] = [b"..flow42end..", b"..kabz..flow07end"];
     let counts: Vec<usize> = std::thread::scope(|scope| {
         let handles: Vec<_> = flows
