@@ -45,7 +45,7 @@
 
 use recama::hw::ShardPolicy;
 use recama::workloads::{generate, traffic, BenchmarkId};
-use recama::{Engine, FlowId, HybridStats, PrefilterMode, ServiceHandle};
+use recama::{Engine, FlowId, HybridStats, PrefilterMode, ServeConfig, ServiceHandle};
 use recama_bench::{ms, seed};
 use std::time::{Duration, Instant};
 
@@ -123,7 +123,7 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
 
 /// A handle over `engine` with `workers` workers and `flows` open flows.
 fn serve_flows(engine: &Engine, workers: usize, flows: usize) -> (ServiceHandle, Vec<FlowId>) {
-    let svc = engine.serve_with(workers, engine.serve_config());
+    let svc = engine.serve_with(workers, ServeConfig::default());
     let ids = (0..flows).map(|_| svc.open_flow()).collect();
     (svc, ids)
 }

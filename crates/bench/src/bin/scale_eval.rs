@@ -99,7 +99,7 @@ fn main() {
         say!(
             "{:<6} {:>6} {:>7} {:>9} {:>9} {:>9} {:>6}",
             si,
-            engine.set().shard_members(si).len(),
+            engine.plan().members(si).len(),
             network.node_count(),
             cost.columns,
             cost.counters,

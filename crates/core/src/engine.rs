@@ -9,21 +9,25 @@
 //! handles.
 //!
 //! * [`Engine::builder`] collects rules (with optional per-rule ids), a
-//!   [`ShardPolicy`], [`CompileOptions`], a worker count, and a
-//!   [`ServeConfig`];
+//!   [`ShardPolicy`], [`CompileOptions`], a [`ScanMode`], and a
+//!   [`PrefilterMode`];
 //! * [`EngineBuilder::build`] compiles everything into an [`Engine`] —
 //!   or a structured [`CompileError`] naming the failing rule's index,
 //!   source text, and pipeline phase;
 //! * the `Engine` then hands out the per-use handles:
+//!   [`stream`](Engine::stream) for one resumable flow,
 //!   [`scan`](Engine::scan) / [`scan_spans`](Engine::scan_spans) for
-//!   block mode, [`stream`](Engine::stream) for one resumable flow, and
-//!   [`serve`](Engine::serve) for many flows: the owned, long-lived
-//!   [`ServiceHandle`] with backpressure, idle-flow eviction, and hot
-//!   reload.
+//!   block mode (one feed of a fresh stream), and
+//!   [`serve_with`](Engine::serve_with) for many flows: the owned,
+//!   long-lived [`ServiceHandle`] with backpressure, idle-flow eviction,
+//!   and hot reload, sized by the worker count and [`ServeConfig`]
+//!   passed there.
 //!
-//! The builder is the only way to compile a ruleset. A single-bank
-//! (unsharded) machine image is the same builder with
-//! [`ShardPolicy::Single`].
+//! The builder is the only way to compile a ruleset, and the `Engine`
+//! is the only API of the compiled artifact (its
+//! [`ShardedPatternSet`] is reachable through [`Engine::set`] for the
+//! per-shard automata). A single-bank (unsharded) machine image is the
+//! same builder with [`ShardPolicy::Single`].
 
 use crate::prefilter::PrefilterMode;
 #[cfg(feature = "fault-inject")]
@@ -33,8 +37,9 @@ use crate::set::{SetMatch, SetSpan, ShardedPatternSet, ShardedSetStream};
 use recama_compiler::{CompileOptions, CompileOutput};
 use recama_hw::{ShardPlan, ShardPolicy};
 use recama_mnrl::MnrlNetwork;
-use recama_nca::ScanMode;
+use recama_nca::{ScanMode, TokenSetEngine};
 use recama_syntax::ParseError;
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -171,7 +176,7 @@ pub struct OverloadPolicy {
     pub evict_on_shed: bool,
 }
 
-/// Configuration of an owned [`ServiceHandle`] (see [`Engine::serve`]):
+/// Configuration of an owned [`ServiceHandle`] (see [`Engine::serve_with`]):
 /// the per-flow and global byte budgets, idle eviction, the
 /// bounded-flow-table, sweep-cadence, fault-tolerance, and
 /// overload-shedding controls of the long-lived serving shape.
@@ -248,35 +253,16 @@ impl Default for ServeConfig {
 
 /// Builder for an [`Engine`] — the single place every compile-time knob
 /// lives. Created by [`Engine::builder`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EngineBuilder {
     rules: Vec<(u64, String)>,
     options: CompileOptions,
     policy: ShardPolicy,
-    workers: usize,
-    serve: ServeConfig,
     lossy: bool,
     scan_mode: ScanMode,
     prefilter: Option<PrefilterMode>,
     #[cfg(feature = "fault-inject")]
     faults: FaultPlan,
-}
-
-impl Default for EngineBuilder {
-    fn default() -> EngineBuilder {
-        EngineBuilder {
-            rules: Vec::new(),
-            options: CompileOptions::default(),
-            policy: ShardPolicy::default(),
-            workers: 1,
-            serve: ServeConfig::default(),
-            lossy: false,
-            scan_mode: ScanMode::default(),
-            prefilter: None,
-            #[cfg(feature = "fault-inject")]
-            faults: FaultPlan::default(),
-        }
-    }
 }
 
 /// The prefilter default when [`EngineBuilder::prefilter`] was never
@@ -331,20 +317,6 @@ impl EngineBuilder {
     /// machine image.
     pub fn shard_policy(mut self, policy: ShardPolicy) -> EngineBuilder {
         self.policy = policy;
-        self
-    }
-
-    /// Sets the worker-thread count [`Engine::serve`] spawns (at least
-    /// one).
-    pub fn workers(mut self, workers: usize) -> EngineBuilder {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Sets the [`ServeConfig`] handles from [`Engine::serve`] start
-    /// with. Default: [`ServeConfig::default`].
-    pub fn serve_config(mut self, config: ServeConfig) -> EngineBuilder {
-        self.serve = config;
         self
     }
 
@@ -415,14 +387,12 @@ impl EngineBuilder {
         let mut template = self.clone();
         template.rules.clear();
         let mut accepted = Vec::with_capacity(self.rules.len());
-        let mut ids = Vec::with_capacity(self.rules.len());
         let mut indices = Vec::with_capacity(self.rules.len());
         let mut skipped = Vec::new();
         for (index, (id, source)) in self.rules.into_iter().enumerate() {
             match recama_syntax::parse(&source) {
                 Ok(parsed) => {
-                    accepted.push((source, parsed));
-                    ids.push(id);
+                    accepted.push((id, source, parsed));
                     indices.push(index);
                 }
                 Err(error) if self.lossy => skipped.push(SkippedRule {
@@ -450,11 +420,8 @@ impl EngineBuilder {
         );
         Ok(Engine {
             set: Arc::new(set),
-            ids: ids.into(),
             indices,
             skipped,
-            workers: self.workers,
-            serve: self.serve,
             #[cfg(feature = "fault-inject")]
             faults: self.faults,
             template,
@@ -492,15 +459,10 @@ pub struct Engine {
     /// Shared so owned [`ServiceHandle`]s can keep the machine image
     /// alive past the `Engine` (the epoch unit of hot reload).
     set: Arc<ShardedPatternSet>,
-    /// Rule ids by compiled index (shared with serving epochs, which
-    /// translate match reports to stable rule ids).
-    ids: Arc<[u64]>,
     /// Builder add-order index by compiled index (they differ when a
     /// lossy build skipped rules).
     indices: Vec<usize>,
     skipped: Vec<SkippedRule>,
-    workers: usize,
-    serve: ServeConfig,
     /// The deterministic fault-injection plan every served handle
     /// inherits (chaos testing only — absent from normal builds).
     #[cfg(feature = "fault-inject")]
@@ -512,7 +474,7 @@ pub struct Engine {
 
 impl Engine {
     /// Starts a builder with default options (default [`ShardPolicy`]
-    /// — one CAMA bank per shard, one worker, strict compile).
+    /// — one CAMA bank per shard, strict compile).
     pub fn builder() -> EngineBuilder {
         EngineBuilder::default()
     }
@@ -535,24 +497,24 @@ impl Engine {
 
     /// Number of compiled rules (skipped rules not counted).
     pub fn len(&self) -> usize {
-        self.set.len()
+        self.set.sources.len()
     }
 
     /// Whether the engine has no compiled rules.
     pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
+        self.set.sources.is_empty()
     }
 
     /// The source text of compiled rule `i` (the index reported in
     /// [`SetMatch::pattern`]).
     pub fn pattern(&self, i: usize) -> &str {
-        self.set.pattern(i)
+        &self.set.sources[i]
     }
 
     /// The id of compiled rule `i` (explicit via
     /// [`EngineBuilder::rule`], or its builder add-order index).
     pub fn rule_id(&self, i: usize) -> u64 {
-        self.ids[i]
+        self.set.ids[i]
     }
 
     /// The builder add-order index of compiled rule `i`. Differs from
@@ -570,56 +532,58 @@ impl Engine {
     /// Per-rule compiler outputs (module decisions, analyses, NCAs),
     /// indexed like the compiled rules.
     pub fn outputs(&self) -> &[CompileOutput] {
-        self.set.outputs()
+        &self.set.outputs
     }
 
-    /// Number of bank-sized shards the ruleset compiled into (≥ 1).
+    /// Number of bank-sized shards the ruleset compiled into (≥ 1; the
+    /// empty ruleset compiles to one empty shard).
     pub fn shard_count(&self) -> usize {
-        self.set.shard_count()
+        self.set.networks.len()
     }
 
     /// The shard plan (which rule lives in which shard).
     pub fn plan(&self) -> &ShardPlan {
-        self.set.plan()
+        &self.set.plan
     }
 
     /// The merged extended-MNRL machine image of shard `shard`;
     /// reporting nodes carry global rule indices.
     pub fn network(&self, shard: usize) -> &MnrlNetwork {
-        self.set.network(shard)
+        &self.set.networks[shard]
     }
 
     /// All per-shard machine images.
     pub fn networks(&self) -> &[MnrlNetwork] {
-        self.set.networks()
+        &self.set.networks
     }
 
-    /// A hardware simulator for shard `shard`'s machine image.
+    /// A hardware simulator for shard `shard`'s machine image; its
+    /// report vector attributes events to rules via the stamped (global)
+    /// report ids.
     pub fn hardware(&self, shard: usize) -> recama_hw::HwSimulator<'_> {
-        self.set.hardware(shard)
-    }
-
-    /// The worker-thread count [`serve`](Engine::serve) spawns.
-    pub fn workers(&self) -> usize {
-        self.workers
+        recama_hw::HwSimulator::new(&self.set.networks[shard])
     }
 
     /// The [`ScanMode`] this engine's scans and streams walk bytes with
     /// (set via [`EngineBuilder::scan_mode`]; defaults to the hybrid
     /// lazy-DFA overlay).
     pub fn scan_mode(&self) -> ScanMode {
-        self.set.scan_mode()
+        self.set.scan_mode
     }
 
     /// The [`PrefilterMode`] this engine was built with (set via
     /// [`EngineBuilder::prefilter`]; defaults to
     /// [`PrefilterMode::On`]).
     pub fn prefilter(&self) -> PrefilterMode {
-        self.set.prefilter_mode()
+        if self.set.prefilter.is_some() {
+            PrefilterMode::On
+        } else {
+            PrefilterMode::Off
+        }
     }
 
-    /// The underlying sharded set — the escape hatch to every lower
-    /// layer (per-shard automata, spans, per-shard hardware).
+    /// The compiled set behind this engine — the escape hatch to its
+    /// per-shard automata ([`ShardedPatternSet::multi`]).
     pub fn set(&self) -> &ShardedPatternSet {
         &self.set
     }
@@ -627,67 +591,137 @@ impl Engine {
     // ---- block mode -------------------------------------------------
 
     /// All matches in `haystack`, in stream order (ascending end,
-    /// ascending rule index within one end). Shards scan in parallel on
-    /// scoped threads for large inputs; reports are byte-identical for
-    /// any shard plan.
+    /// ascending rule index within one end): one [`feed`] of a fresh
+    /// [`stream`](Engine::stream), keeping a trailing-`$` rule's
+    /// matches only where they end at the end of the haystack.
+    /// Semantics per rule match
+    /// [`Pattern::find_ends`](crate::Pattern::find_ends), and reports
+    /// are byte-identical for any shard plan.
+    ///
+    /// [`feed`]: ShardedSetStream::feed
+    ///
+    /// ```
+    /// use recama::hw::ShardPolicy;
+    /// use recama::Engine;
+    ///
+    /// let engine = Engine::builder()
+    ///     .patterns(["ab{2,3}c", "xyz", "k\\d{4}"])
+    ///     .shard_policy(ShardPolicy::Fixed(2))
+    ///     .build()
+    ///     .unwrap();
+    /// assert_eq!(engine.shard_count(), 2);
+    /// // Reports are identical to the unsharded engine, in the same order.
+    /// let matches = engine.scan(b"zabbc..xyz..k1234");
+    /// let hits: Vec<(usize, usize)> = matches.iter().map(|m| (m.pattern, m.end)).collect();
+    /// assert_eq!(hits, vec![(0, 5), (1, 10), (2, 17)]);
+    /// // Each shard is its own machine image with global report ids.
+    /// assert_eq!(engine.network(0).report_ids(), vec![0, 1]);
+    /// assert_eq!(engine.network(1).report_ids(), vec![2]);
+    /// ```
     pub fn scan(&self, haystack: &[u8]) -> Vec<SetMatch> {
-        self.set.find_ends(haystack)
+        let anchored_end = &self.set.anchored_end;
+        self.stream()
+            .feed(haystack)
+            .filter(|m| !anchored_end[m.pattern] || m.end == haystack.len())
+            .collect()
     }
 
     /// Located match spans (`[start, end)` per rule): for every match
-    /// end, the rule's reversed automaton runs backward to the earliest
-    /// start (leftmost-longest flavor).
+    /// end of [`scan`](Engine::scan), the rule's *reversed* automaton
+    /// runs backward to the earliest start (leftmost-longest flavor), as
+    /// in [`Pattern::find_spans`](crate::Pattern::find_spans). Reversed
+    /// automata are built lazily per rule and cached for the engine's
+    /// lifetime.
+    ///
+    /// ```
+    /// use recama::{Engine, SetSpan};
+    ///
+    /// let engine = Engine::new(["ab{2,3}c", "xyz"]).unwrap();
+    /// let spans = engine.scan_spans(b"zzabbc.xyz");
+    /// assert_eq!(
+    ///     spans,
+    ///     vec![
+    ///         SetSpan { pattern: 0, start: 2, end: 6 },
+    ///         SetSpan { pattern: 1, start: 7, end: 10 },
+    ///     ]
+    /// );
+    /// ```
     pub fn scan_spans(&self, haystack: &[u8]) -> Vec<SetSpan> {
-        self.set.find_spans(haystack)
+        // One backward engine per distinct rule, reused across ends.
+        let mut engines: HashMap<usize, TokenSetEngine<'_>> = HashMap::new();
+        self.scan(haystack)
+            .into_iter()
+            .map(|m| {
+                let engine = engines
+                    .entry(m.pattern)
+                    .or_insert_with(|| TokenSetEngine::new(self.set.reversed_nca(m.pattern)));
+                SetSpan {
+                    pattern: m.pattern,
+                    start: crate::earliest_start(engine, haystack, m.end),
+                    end: m.end,
+                }
+            })
+            .collect()
     }
 
     /// Whether any rule matches in `haystack`.
     pub fn is_match(&self, haystack: &[u8]) -> bool {
-        self.set.is_match(haystack)
+        !self.scan(haystack).is_empty()
     }
 
     // ---- per-use handles --------------------------------------------
 
-    /// A resumable streaming matcher for ONE flow: feed chunks, drain
-    /// reports, [`finish`](ShardedSetStream::finish) to resolve
-    /// trailing-`$` anchors at end-of-stream.
+    /// A resumable streaming matcher for ONE flow, holding one engine
+    /// state per shard: feed traffic in chunks and drain reports
+    /// incrementally, without re-scanning previous chunks. Large chunks
+    /// are fanned out to the shard engines on scoped threads.
+    ///
+    /// A stream has no "end" until [`finish`] declares one, so
+    /// trailing-`$` anchors are not applied during [`feed`]:
+    /// `$`-anchored rules report every candidate end offset, and
+    /// [`finish`] resolves which of them end on the final byte.
+    ///
+    /// [`feed`]: ShardedSetStream::feed
+    /// [`finish`]: ShardedSetStream::finish
+    ///
+    /// ```
+    /// use recama::Engine;
+    ///
+    /// let engine = Engine::new(["ab{2}c"]).unwrap();
+    /// let mut stream = engine.stream();
+    /// // The match straddles the chunk boundary.
+    /// assert!(stream.feed(b"..ab").next().is_none());
+    /// let hits: Vec<_> = stream.feed(b"bc..").collect();
+    /// assert_eq!(hits.len(), 1);
+    /// assert_eq!((hits[0].pattern, hits[0].end), (0, 6));
+    /// ```
     pub fn stream(&self) -> ShardedSetStream<'_> {
-        self.set.stream()
+        ShardedSetStream::new(&self.set)
     }
 
-    /// Spawns an owned, `'static` flow-serving handle over this engine,
-    /// configured from the builder ([`EngineBuilder::workers`],
-    /// [`EngineBuilder::serve_config`]): worker threads start (condvar-parked) immediately, live for the
-    /// handle's whole life, and are joined on
+    /// Spawns an owned, `'static` flow-serving handle over this engine
+    /// with one worker and the default [`ServeConfig`] — shorthand for
+    /// `serve_with(1, ServeConfig::default())`.
+    pub fn serve(&self) -> ServiceHandle {
+        self.serve_with(1, ServeConfig::default())
+    }
+
+    /// Spawns an owned, `'static` flow-serving handle over this engine
+    /// with `workers` worker threads (at least one) and `config`. The
+    /// workers start (condvar-parked) immediately, live for the handle's
+    /// whole life, and are joined on
     /// [`shutdown`](ServiceHandle::shutdown) / `Drop` — no enclosing
     /// scope required, so the service embeds directly in a server's
     /// state. The engine stays usable (and reusable) afterwards; the
     /// handle shares its machine image as serving epoch 0 and swaps in
     /// later engines via [`reload`](ServiceHandle::reload).
-    pub fn serve(&self) -> ServiceHandle {
-        self.serve_with(self.workers, self.serve_config())
-    }
-
-    /// Like [`serve`](Engine::serve) with an explicit worker count and
-    /// [`ServeConfig`].
     pub fn serve_with(&self, workers: usize, config: ServeConfig) -> ServiceHandle {
         ServiceHandle::spawn(self, workers.max(1), config)
-    }
-
-    /// The [`ServeConfig`] new owned handles start with (set via
-    /// [`EngineBuilder::serve_config`]).
-    pub fn serve_config(&self) -> ServeConfig {
-        self.serve
     }
 
     /// The shared machine image (the epoch unit of hot reload).
     pub(crate) fn set_arc(&self) -> Arc<ShardedPatternSet> {
         Arc::clone(&self.set)
-    }
-
-    /// The shared rule-id table (compiled index → stable rule id).
-    pub(crate) fn ids_arc(&self) -> Arc<[u64]> {
-        Arc::clone(&self.ids)
     }
 
     /// The retained builder (rules cleared) for

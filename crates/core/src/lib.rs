@@ -245,7 +245,7 @@ impl Pattern {
 /// `haystack[..end]` and returns the earliest start of a match ending at
 /// `end` (leftmost-longest flavor): accepting after `k` reversed bytes
 /// means a match starts at `end - k`, and the largest `k` wins. Shared by
-/// [`Pattern::find_spans`] and [`ShardedPatternSet::find_spans`].
+/// [`Pattern::find_spans`] and [`Engine::scan_spans`].
 pub(crate) fn earliest_start(
     engine: &mut recama_nca::TokenSetEngine<'_>,
     haystack: &[u8],

@@ -413,13 +413,6 @@ impl ShardPrefilter {
         *node = n as u32;
         false
     }
-
-    /// Whether any literal occurs in `haystack` (block-mode gate: a
-    /// one-shot scan of a haystack with no candidate cannot match).
-    pub(crate) fn contains(&self, alphabet: &ByteAlphabet, haystack: &[u8]) -> bool {
-        let mut node = 0u32;
-        self.advance(&mut node, alphabet, haystack)
-    }
 }
 
 /// The compiled prefilter of a whole set: one optional
@@ -471,11 +464,6 @@ impl SetPrefilter {
     /// Shard `i`'s filter (`None` ⇒ always-on).
     pub(crate) fn shard(&self, i: usize) -> Option<&ShardPrefilter> {
         self.shards.get(i).and_then(Option::as_ref)
-    }
-
-    /// The shared byte-class alphabet the filters index with.
-    pub(crate) fn alphabet(&self) -> &ByteAlphabet {
-        &self.alphabet
     }
 
     /// Rules with no usable literal.
@@ -540,14 +528,6 @@ impl SetPrefilter {
 pub(crate) struct PrefilterState {
     pub(crate) node: u32,
     pub(crate) hot: bool,
-}
-
-impl PrefilterState {
-    /// Back to cold at the start of a (new) stream — used when a flow
-    /// opens, reopens, or migrates to a new engine epoch.
-    pub(crate) fn reset(&mut self) {
-        *self = PrefilterState::default();
-    }
 }
 
 /// What a unit does with one buffered chunk (see
@@ -627,10 +607,12 @@ mod tests {
         }
         let pf = SetPrefilter::build(&parsed, &[vec![0, 1]], classes.freeze());
         let f = pf.shard(0).expect("both rules have literals");
-        let al = pf.alphabet();
-        assert!(f.contains(al, b"..abbc.."));
-        assert!(f.contains(al, b"xyz"));
-        assert!(!f.contains(al, b"ab bc xy z"));
+        let al = &pf.alphabet;
+        // Block form: a fresh node (0) over the whole haystack.
+        let hit = |haystack: &[u8]| f.advance(&mut 0, al, haystack);
+        assert!(hit(b"..abbc.."));
+        assert!(hit(b"xyz"));
+        assert!(!hit(b"ab bc xy z"));
         // Streaming: "xy|z" split across an advance boundary.
         let mut node = 0u32;
         assert!(!f.advance(&mut node, al, b"..xy"));

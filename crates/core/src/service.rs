@@ -62,10 +62,11 @@ use crate::engine::{CompileError, Engine, EngineBuilder, FaultPolicy, ServeConfi
 use crate::prefilter::{
     ChunkAction, PerShard, PrefilterCounters, PrefilterMetrics, PrefilterState,
 };
+use crate::set::DollarTracker;
 use crate::ShardedPatternSet;
 use recama_nca::{HybridStats, MultiReport, ScanMode, ShardStreamState};
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::task::Poll;
@@ -277,7 +278,8 @@ impl std::error::Error for ServeError {}
 /// before the engine is served.
 ///
 /// Faults address the **k-th scan** (1-based) of a given shard of a
-/// given flow, flows numbered in open order (0-based, across reopens).
+/// given flow, flows numbered in open order (0-based; every
+/// [`open_flow`](ServiceHandle::open_flow) is a new flow).
 /// With a [`barrier`](ServiceHandle::barrier) between pushes, every
 /// non-empty push triggers exactly one scan per shard, so the scan
 /// number equals the chunk number — `tests/service_faults.rs` leans on
@@ -393,7 +395,6 @@ impl Segment {
 struct EpochEngine {
     epoch: u64,
     set: Arc<ShardedPatternSet>,
-    ids: Arc<[u64]>,
     /// Flows still pinned to this epoch (their shard engines came from
     /// this set). A non-current epoch with zero flows is retired.
     flows: usize,
@@ -445,7 +446,7 @@ struct OwnedFlow {
     /// closing the flow can resolve which land on the final byte.
     /// Cleared at migration: old candidates cannot end at the final
     /// byte once more bytes arrive.
-    dollar: HashMap<u32, u64>,
+    dollar: DollarTracker,
     /// The resolved finishing set of a finished flow, until drained.
     finishing: Vec<RuleMatch>,
     /// Last `window` bytes of the flow since the epoch base, kept while
@@ -582,7 +583,6 @@ impl ServeState {
             epochs: vec![EpochEngine {
                 epoch: 0,
                 set: engine.set_arc(),
-                ids: engine.ids_arc(),
                 flows: 0,
             }],
             current_epoch: 0,
@@ -698,7 +698,7 @@ impl ServeState {
                 })
                 .collect(),
             reports: VecDeque::new(),
-            dollar: HashMap::new(),
+            dollar: DollarTracker::default(),
             finishing: Vec::new(),
             tail: Vec::new(),
             quarantined: None,
@@ -963,7 +963,7 @@ impl ServeState {
         });
         f.total += chunk.len() as u64;
         let mut skipped = false;
-        match set.prefilter() {
+        match &set.prefilter {
             None => {
                 for (si, slot) in f.shards.iter_mut().enumerate() {
                     if !slot.busy {
@@ -1174,11 +1174,7 @@ impl ServeState {
             // `close` on a finished flow lands here.
             return;
         }
-        let (set, ids) = {
-            let e = self.epoch_entry(f.epoch);
-            (Arc::clone(&e.set), Arc::clone(&e.ids))
-        };
-        let anchored = set.anchored_end();
+        let set = Arc::clone(&self.epoch_entry(f.epoch).set);
         let mut events: Vec<ServiceEvent> = Vec::new();
         let f = self
             .flow_mut(id)
@@ -1195,10 +1191,11 @@ impl ServeState {
             }
             let Some((si, _)) = best else { break };
             let r = f.shards[si].pending.pop_front().expect("best exists");
-            if anchored[r.pattern as usize] {
-                f.dollar.insert(r.pattern, r.end);
+            let pattern = r.pattern as usize;
+            if set.anchored_end[pattern] {
+                f.dollar.observe(pattern, r.end);
             }
-            let rule = ids[r.pattern as usize];
+            let rule = set.ids[pattern];
             f.reports.push_back(RuleMatch { rule, end: r.end });
             events.push(ServiceEvent {
                 flow: id,
@@ -1224,7 +1221,7 @@ impl ServeState {
             return;
         }
         let epoch = f.epoch;
-        let ids = Arc::clone(&self.epoch_entry(epoch).ids);
+        let set = Arc::clone(&self.epoch_entry(epoch).set);
         let f = self
             .flow_mut(id)
             .expect("try_finish: flow is still live here");
@@ -1238,15 +1235,9 @@ impl ServeState {
         f.shards.clear();
         f.segments.clear();
         let total = f.total;
-        let mut finals: Vec<u32> = f
-            .dollar
-            .iter()
-            .filter_map(|(&pattern, &end)| (end == total).then_some(pattern))
-            .collect();
-        finals.sort_unstable();
         f.finishing
-            .extend(finals.into_iter().map(|pattern| RuleMatch {
-                rule: ids[pattern as usize],
+            .extend(f.dollar.finish(total).into_iter().map(|m| RuleMatch {
+                rule: set.ids[m.pattern],
                 end: total,
             }));
         f.epoch_released = true;
@@ -1363,12 +1354,12 @@ impl ServeState {
                 }
             }
         }
-        let hybrid = match self.current().set.scan_mode() {
+        let hybrid = match self.current().set.scan_mode {
             ScanMode::Hybrid { .. } => Some(hybrid),
             ScanMode::Nca => None,
         };
-        let shards = self.current().set.shard_count();
-        let prefilter = self.current().set.prefilter().map(|pf| {
+        let shards = self.current().set.multi.shard_count();
+        let prefilter = self.current().set.prefilter.as_ref().map(|pf| {
             self.metrics
                 .prefilter
                 .snapshot(shards, pf.always_on_rules())
@@ -1641,15 +1632,10 @@ fn supervised_worker(core: &ServiceCore) {
 /// from many producer threads.
 ///
 /// ```
-/// use recama::Engine;
+/// use recama::{Engine, ServeConfig};
 ///
-/// let engine = Engine::builder()
-///     .patterns(["ab{2}c", "xyz"])
-///     .workers(2)
-///     .build()
-///     .unwrap();
-///
-/// let svc = engine.serve(); // workers spawn now, parked
+/// let engine = Engine::new(["ab{2}c", "xyz"]).unwrap();
+/// let svc = engine.serve_with(2, ServeConfig::default()); // workers spawn now, parked
 /// let flow = svc.open_flow();
 /// svc.push(flow, b"..ab"); // blocking push (waits if over budget)
 /// svc.push(flow, b"bc!"); // match straddles the chunks
@@ -1815,7 +1801,6 @@ impl ServiceHandle {
         st.epochs.push(EpochEngine {
             epoch,
             set: engine.set_arc(),
-            ids: engine.ids_arc(),
             flows: 0,
         });
         st.current_epoch = epoch;
@@ -2210,7 +2195,7 @@ impl std::fmt::Debug for ServiceHandle {
             "ServiceHandle(epoch {}, {} flows, {} shards, {} workers, budget = {} B)",
             st.current_epoch,
             st.occupied(),
-            st.current().set.shard_count(),
+            st.current().set.multi.shard_count(),
             self.workers,
             self.core.config.flow_budget
         )

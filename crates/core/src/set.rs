@@ -1,5 +1,6 @@
-//! [`ShardedPatternSet`]: whole rulesets compiled into shared machine
-//! images and software engines.
+//! [`ShardedPatternSet`]: the compiled ruleset an
+//! [`Engine`](crate::Engine) wraps, and [`ShardedSetStream`], the one
+//! scan path over it.
 //!
 //! The paper's evaluation operates on rulesets (Snort, Suricata,
 //! Protomata, SpamAssassin, ClamAV — Table 1), and deployments of this
@@ -8,11 +9,13 @@
 //! [`ShardPlan`](recama_hw::ShardPlan) partitions the rules into shards
 //! whose sub-networks each fit one CAMA bank
 //! ([`ShardPolicy`](recama_hw::ShardPolicy), default = one bank's
-//! capacity), one [`MultiNca`](recama_nca::MultiNca) per shard shares a
-//! single byte-class alphabet computed once over the whole set, and
-//! [`ShardedPatternSet::find_ends`] scans the shards in parallel with
-//! scoped threads, recombining reports with an ordered merge that keeps
-//! the output **byte-identical** to the unsharded scan.
+//! capacity), and one [`MultiNca`](recama_nca::MultiNca) per shard
+//! shares a single byte-class alphabet computed once over the whole
+//! set. [`ShardedSetStream::feed`] advances the shards (on scoped
+//! threads for large chunks) and recombines their reports with an
+//! ordered merge that keeps the output **byte-identical** to the
+//! unsharded scan; a block scan ([`Engine::scan`](crate::Engine::scan))
+//! is one feed of a fresh stream.
 //!
 //! The unsharded machine image — ONE merged network + ONE batched
 //! engine — is the single-shard (`N = 1`) case,
@@ -25,9 +28,7 @@ use crate::MatchSpan;
 use recama_compiler::{compile, CompileOptions, CompileOutput};
 use recama_hw::{RuleCost, ShardPlan, ShardPolicy};
 use recama_mnrl::MnrlNetwork;
-use recama_nca::{
-    CompilePlan, MultiReport, Nca, ScanMode, ShardStream, ShardedMulti, StateId, TokenSetEngine,
-};
+use recama_nca::{CompilePlan, MultiReport, Nca, ScanMode, ShardStream, ShardedMulti, StateId};
 use recama_syntax::Parsed;
 use std::collections::HashMap;
 use std::fmt;
@@ -69,21 +70,11 @@ impl SetSpan {
 /// extended-MNRL network and one shared software automaton **per shard**,
 /// with a single byte-class alphabet shared by every shard.
 ///
-/// Mirrors [`Pattern`](crate::Pattern)'s API at set granularity —
-/// [`find_ends`] / [`find_spans`] / [`stream`] / [`hardware`] — and for
-/// any shard plan [`find_ends`] returns the same reports in the same
-/// order as the single-shard plan.
-///
-/// [`find_ends`]: ShardedPatternSet::find_ends
-/// [`find_spans`]: ShardedPatternSet::find_spans
-/// [`stream`]: ShardedPatternSet::stream
-/// [`hardware`]: ShardedPatternSet::hardware
-///
-/// Build one with [`Engine::builder`](crate::Engine::builder) (every
-/// compile knob lives there) and reach it through
-/// [`Engine::set`](crate::Engine::set).
-///
-/// # Examples
+/// This is the image an [`Engine`](crate::Engine) wraps and a
+/// [`ServiceHandle`](crate::ServiceHandle) pins per serving epoch. Every
+/// query goes through the `Engine`; reach the set with
+/// [`Engine::set`](crate::Engine::set) for its sharded automata
+/// ([`multi`](ShardedPatternSet::multi)).
 ///
 /// ```
 /// use recama::hw::ShardPolicy;
@@ -94,60 +85,62 @@ impl SetSpan {
 ///     .shard_policy(ShardPolicy::Fixed(2))
 ///     .build()
 ///     .unwrap();
-/// let set = engine.set();
-/// assert_eq!(set.shard_count(), 2);
-/// // Reports are identical to the unsharded set, in the same order.
-/// let matches = set.find_ends(b"zabbc..xyz..k1234");
-/// let hits: Vec<(usize, usize)> = matches.iter().map(|m| (m.pattern, m.end)).collect();
-/// assert_eq!(hits, vec![(0, 5), (1, 10), (2, 17)]);
-/// // Each shard is its own machine image with global report ids.
-/// assert_eq!(set.network(0).report_ids(), vec![0, 1]);
-/// assert_eq!(set.network(1).report_ids(), vec![2]);
+/// let multi = engine.set().multi();
+/// assert_eq!(multi.shard_count(), 2);
+/// // Every shard indexes the one byte-class alphabet of the whole set.
+/// assert!(multi.shards().iter().all(|s| s.alphabet().len() == multi.alphabet().len()));
 /// ```
 #[derive(Debug)]
 pub struct ShardedPatternSet {
-    sources: Vec<String>,
+    pub(crate) sources: Vec<String>,
+    /// Stable rule id per compiled pattern (explicit from
+    /// [`EngineBuilder::rule`](crate::EngineBuilder::rule), or the
+    /// builder add-order index); served reports carry these.
+    pub(crate) ids: Vec<u64>,
     parsed: Vec<Parsed>,
-    outputs: Vec<CompileOutput>,
-    anchored_end: Vec<bool>,
-    plan: ShardPlan,
+    pub(crate) outputs: Vec<CompileOutput>,
+    /// Whether pattern `i` carries a trailing-`$` anchor (one-shot scans
+    /// keep only its matches ending at the end of the haystack).
+    pub(crate) anchored_end: Vec<bool>,
+    pub(crate) plan: ShardPlan,
     /// One merged machine image per shard (reporting nodes carry global
     /// pattern ids).
-    networks: Vec<MnrlNetwork>,
-    multi: ShardedMulti,
+    pub(crate) networks: Vec<MnrlNetwork>,
+    pub(crate) multi: ShardedMulti,
     /// How scans and streams walk input bytes (exact NCA vs. hybrid
     /// lazy-DFA overlay).
-    scan_mode: ScanMode,
+    pub(crate) scan_mode: ScanMode,
     /// The literal prefilter (`None` under [`PrefilterMode::Off`]):
     /// per-shard Aho-Corasick filters over the shared alphabet that
-    /// scans, streams, and the serving layers consult before running
-    /// the automata.
-    prefilter: Option<SetPrefilter>,
+    /// streams and the service consult before running the automata.
+    pub(crate) prefilter: Option<SetPrefilter>,
     /// Reversed automata for span location, built per pattern on first
-    /// use (repeated `find_spans` calls must not re-run Glushkov).
+    /// use (repeated span queries must not re-run Glushkov).
     reversed: Vec<OnceLock<Nca>>,
 }
 
 impl ShardedPatternSet {
+    /// Compiles `accepted` `(rule id, source, parse)` triples.
     pub(crate) fn build(
-        accepted: Vec<(String, Parsed)>,
+        accepted: Vec<(u64, String, Parsed)>,
         options: &CompileOptions,
         policy: ShardPolicy,
         scan_mode: ScanMode,
         prefilter_mode: PrefilterMode,
     ) -> ShardedPatternSet {
         let mut sources = Vec::with_capacity(accepted.len());
+        let mut ids = Vec::with_capacity(accepted.len());
         let mut parsed_list = Vec::with_capacity(accepted.len());
         let mut outputs = Vec::with_capacity(accepted.len());
         let mut anchored_end = Vec::with_capacity(accepted.len());
-        for (source, parsed) in accepted {
+        for (id, source, parsed) in accepted {
             let out = compile(&parsed.for_stream(), options);
             sources.push(source);
+            ids.push(id);
             anchored_end.push(parsed.anchored_end);
             parsed_list.push(parsed);
             outputs.push(out);
         }
-
         // Bank-aware partition, costed with the mapper's own estimates.
         // The trivial policy never looks at costs, so skip the per-rule
         // placements there (single-shard builds route through it).
@@ -212,6 +205,7 @@ impl ShardedPatternSet {
         let reversed = (0..sources.len()).map(|_| OnceLock::new()).collect();
         ShardedPatternSet {
             sources,
+            ids,
             parsed: parsed_list,
             outputs,
             anchored_end,
@@ -224,86 +218,10 @@ impl ShardedPatternSet {
         }
     }
 
-    /// Number of compiled patterns.
-    pub fn len(&self) -> usize {
-        self.sources.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.sources.is_empty()
-    }
-
-    /// The source text of pattern `i`.
-    pub fn pattern(&self, i: usize) -> &str {
-        &self.sources[i]
-    }
-
-    /// Per-pattern compiler outputs (module decisions, analyses, NCAs),
-    /// indexed like the patterns.
-    pub fn outputs(&self) -> &[CompileOutput] {
-        &self.outputs
-    }
-
-    /// Number of shards (≥ 1; the empty set compiles to one empty shard).
-    pub fn shard_count(&self) -> usize {
-        self.networks.len()
-    }
-
-    /// The shard plan (which pattern lives in which shard).
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// Global pattern indices of shard `shard`, ascending.
-    pub fn shard_members(&self, shard: usize) -> &[usize] {
-        self.plan.members(shard)
-    }
-
-    /// The merged extended-MNRL network of shard `shard`. Reporting nodes
-    /// of pattern `i` carry `report_id = i` (global numbering).
-    pub fn network(&self, shard: usize) -> &MnrlNetwork {
-        &self.networks[shard]
-    }
-
-    /// All per-shard machine images.
-    pub fn networks(&self) -> &[MnrlNetwork] {
-        &self.networks
-    }
-
     /// The sharded automata (one merged `MultiNca` per shard, shared
     /// byte-class alphabet).
     pub fn multi(&self) -> &ShardedMulti {
         &self.multi
-    }
-
-    /// How this set's scans and streams walk input bytes (set at build
-    /// time via [`EngineBuilder::scan_mode`](crate::EngineBuilder)).
-    pub fn scan_mode(&self) -> ScanMode {
-        self.scan_mode
-    }
-
-    /// Whether this set consults the literal prefilter (set at build
-    /// time via [`EngineBuilder::prefilter`](crate::EngineBuilder)).
-    pub fn prefilter_mode(&self) -> PrefilterMode {
-        if self.prefilter.is_some() {
-            PrefilterMode::On
-        } else {
-            PrefilterMode::Off
-        }
-    }
-
-    /// Number of rules with no usable required literal (their shards
-    /// scan every byte). 0 under [`PrefilterMode::Off`].
-    pub fn always_on_rules(&self) -> usize {
-        self.prefilter
-            .as_ref()
-            .map_or(0, SetPrefilter::always_on_rules)
-    }
-
-    /// The compiled literal prefilter, if the set was built with one.
-    pub(crate) fn prefilter(&self) -> Option<&SetPrefilter> {
-        self.prefilter.as_ref()
     }
 
     /// One [`ShardStream`] per shard in this set's [`ScanMode`] — the
@@ -312,9 +230,9 @@ impl ShardedPatternSet {
         self.multi.shard_streams_with(self.scan_mode)
     }
 
-    /// One detached [`ShardStreamState`] per shard — the owned form a
-    /// `'static` flow table parks between scans (see
-    /// [`ServiceHandle`](crate::ServiceHandle)).
+    /// One detached [`ShardStreamState`](recama_nca::ShardStreamState)
+    /// per shard — the owned form a `'static` flow table parks between
+    /// scans (see [`ServiceHandle`](crate::ServiceHandle)).
     pub(crate) fn shard_stream_states(&self) -> Vec<recama_nca::ShardStreamState> {
         self.shard_streams()
             .into_iter()
@@ -331,251 +249,68 @@ impl ShardedPatternSet {
         self.multi.resume_shard_stream(state)
     }
 
-    /// All matches in `haystack`, in stream order (ascending end offset,
-    /// ascending pattern within one offset) — byte-identical across
-    /// shard plans. Large haystacks are scanned one scoped thread per shard;
-    /// small ones sequentially (thread spawn would cost more than the
-    /// scan).
-    ///
-    /// Semantics per pattern match
-    /// [`Pattern::find_ends`](crate::Pattern::find_ends): search form
-    /// `Σ*·r` unless `^`-anchored, one report per (pattern, end), and a
-    /// trailing `$` keeps only that pattern's matches ending at the end
-    /// of the haystack.
-    pub fn find_ends(&self, haystack: &[u8]) -> Vec<SetMatch> {
-        let n = self.multi.shard_count();
-        if n <= 1 {
-            return self.scan_shard(0, haystack);
-        }
-        let per_shard: Vec<Vec<SetMatch>> = if haystack.len() >= PARALLEL_MIN_BYTES {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..n)
-                    .map(|si| scope.spawn(move || self.scan_shard(si, haystack)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard scan panicked"))
-                    .collect()
-            })
-        } else {
-            (0..n).map(|si| self.scan_shard(si, haystack)).collect()
-        };
-        let mut out = Vec::with_capacity(per_shard.iter().map(|v| v.len()).sum());
-        merge_ordered_by(&per_shard, |_, m| m, &mut out);
-        out
-    }
-
-    /// Scans one shard sequentially, translating local pattern indices to
-    /// global ones and applying the `$`-anchor filter. The per-shard
-    /// engine emits reports sorted by `(end, local pattern)`; ascending
-    /// members make that `(end, global pattern)` order.
-    fn scan_shard(&self, shard: usize, haystack: &[u8]) -> Vec<SetMatch> {
-        // Block-mode prefilter gate: a match is contained in the
-        // haystack, so a haystack without any required literal cannot
-        // contain one.
-        if let Some(filter) = self.prefilter.as_ref().and_then(|p| p.shard(shard)) {
-            let alphabet = self.prefilter.as_ref().expect("checked above").alphabet();
-            if !filter.contains(alphabet, haystack) {
-                return Vec::new();
-            }
-        }
-        let reports = match self.scan_mode {
-            ScanMode::Nca => self.multi.shard(shard).engine().match_reports(haystack),
-            ScanMode::Hybrid { state_budget } => self
-                .multi
-                .shard(shard)
-                .hybrid_engine(state_budget)
-                .match_reports(haystack),
-        };
-        reports
-            .into_iter()
-            .map(|r| SetMatch {
-                pattern: self.multi.global_pattern(shard, r.pattern) as usize,
-                end: r.end as usize,
-            })
-            .filter(|m| !self.anchored_end[m.pattern] || m.end == haystack.len())
-            .collect()
-    }
-
-    /// Whether any pattern matches in `haystack`.
-    pub fn is_match(&self, haystack: &[u8]) -> bool {
-        !self.find_ends(haystack).is_empty()
-    }
-
-    /// Locates full match spans per pattern: for every reported match
-    /// end, the matching pattern's *reversed* automaton runs backward
-    /// from the end to the earliest start (leftmost-longest flavor), as
-    /// in [`Pattern::find_spans`](crate::Pattern::find_spans). Reversed
-    /// automata are built lazily per pattern and cached for the set's
-    /// lifetime.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use recama::{Engine, SetSpan};
-    ///
-    /// let engine = Engine::new(["ab{2,3}c", "xyz"]).unwrap();
-    /// let spans = engine.set().find_spans(b"zzabbc.xyz");
-    /// assert_eq!(
-    ///     spans,
-    ///     vec![
-    ///         SetSpan { pattern: 0, start: 2, end: 6 },
-    ///         SetSpan { pattern: 1, start: 7, end: 10 },
-    ///     ]
-    /// );
-    /// ```
-    pub fn find_spans(&self, haystack: &[u8]) -> Vec<SetSpan> {
-        let matches = self.find_ends(haystack);
-        if matches.is_empty() {
-            return Vec::new();
-        }
-        // One backward engine per distinct pattern, reused across ends.
-        let mut engines: HashMap<usize, TokenSetEngine<'_>> = HashMap::new();
-        matches
-            .into_iter()
-            .map(|m| {
-                let engine = engines
-                    .entry(m.pattern)
-                    .or_insert_with(|| TokenSetEngine::new(self.reversed_nca(m.pattern)));
-                SetSpan {
-                    pattern: m.pattern,
-                    start: crate::earliest_start(engine, haystack, m.end),
-                    end: m.end,
-                }
-            })
-            .collect()
-    }
-
     /// The reversed automaton of pattern `i`, built on first use.
-    fn reversed_nca(&self, i: usize) -> &Nca {
+    pub(crate) fn reversed_nca(&self, i: usize) -> &Nca {
         self.reversed[i].get_or_init(|| Nca::from_regex(&self.parsed[i].regex.reverse()))
-    }
-
-    /// A resumable streaming matcher holding one engine state per shard:
-    /// feed traffic in chunks and drain reports incrementally, without
-    /// re-scanning previous chunks. Large chunks are fanned out to the
-    /// shard engines on scoped threads.
-    ///
-    /// Note that a stream has no "end" until [`finish`] declares one, so
-    /// trailing-`$` anchors are not applied during [`feed`]: `$`-anchored
-    /// patterns report every candidate end offset. Call [`finish`] at
-    /// end-of-stream to learn which `$`-anchored matches actually end on
-    /// the final byte.
-    ///
-    /// [`feed`]: ShardedSetStream::feed
-    /// [`finish`]: ShardedSetStream::finish
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use recama::Engine;
-    ///
-    /// let engine = Engine::new(["ab{2}c"]).unwrap();
-    /// let mut stream = engine.set().stream();
-    /// // The match straddles the chunk boundary.
-    /// assert!(stream.feed(b"..ab").next().is_none());
-    /// let hits: Vec<_> = stream.feed(b"bc..").collect();
-    /// assert_eq!(hits.len(), 1);
-    /// assert_eq!((hits[0].pattern, hits[0].end), (0, 6));
-    /// ```
-    pub fn stream(&self) -> ShardedSetStream<'_> {
-        ShardedSetStream {
-            shards: self.shard_streams(),
-            bufs: vec![Vec::new(); self.multi.shard_count()],
-            merged: Vec::new(),
-            dollar: DollarTracker::new(&self.anchored_end),
-            prefilter: self.prefilter.as_ref(),
-            pre: vec![PrefilterState::default(); self.multi.shard_count()],
-            tail: Vec::new(),
-        }
-    }
-
-    /// Whether pattern `i` carries a trailing-`$` anchor (one-shot scans
-    /// keep only its matches ending at the end of the haystack).
-    pub(crate) fn anchored_end(&self) -> &[bool] {
-        &self.anchored_end
-    }
-
-    /// A hardware simulator for shard `shard`'s machine image; its report
-    /// vector attributes events to patterns via the stamped (global)
-    /// report ids.
-    pub fn hardware(&self, shard: usize) -> recama_hw::HwSimulator<'_> {
-        recama_hw::HwSimulator::new(&self.networks[shard])
     }
 }
 
 /// Merges per-shard report lists into one list sorted by `(end,
-/// pattern)` — the order the unsharded engine emits. `translate` maps a
-/// shard-local entry to its global report; translated lists must arrive
-/// already sorted by `(end, pattern)` (guaranteed by
-/// [`MultiEngine`](recama_nca::MultiEngine)'s within-step ordering
-/// contract plus ascending shard members).
-fn merge_ordered_by<T: Copy>(
-    per_shard: &[Vec<T>],
-    translate: impl Fn(usize, T) -> SetMatch,
-    out: &mut Vec<SetMatch>,
-) {
+/// pattern)` — the order the unsharded engine emits. Each list must
+/// arrive sorted by `(end, pattern)` with global pattern ids
+/// (guaranteed by [`MultiEngine`](recama_nca::MultiEngine)'s within-step
+/// ordering contract plus ascending shard members).
+fn merge_ordered(per_shard: &[Vec<MultiReport>], out: &mut Vec<SetMatch>) {
+    let key = |r: &MultiReport| (r.end, r.pattern);
     debug_assert!(
-        per_shard.iter().enumerate().all(|(si, reports)| {
-            reports.windows(2).all(|w| {
-                let (a, b) = (translate(si, w[0]), translate(si, w[1]));
-                (a.end, a.pattern) < (b.end, b.pattern)
-            })
-        }),
+        per_shard
+            .iter()
+            .all(|reports| reports.windows(2).all(|w| key(&w[0]) < key(&w[1]))),
         "per-shard reports must arrive sorted by (end, pattern) — \
          see MultiEngine::step_into's ordering contract"
     );
     let total: usize = per_shard.iter().map(|v| v.len()).sum();
     let mut cursors = vec![0usize; per_shard.len()];
     for _ in 0..total {
-        let mut best: Option<(usize, SetMatch)> = None;
+        let mut best: Option<(usize, MultiReport)> = None;
         for (si, reports) in per_shard.iter().enumerate() {
-            if let Some(&r) = reports.get(cursors[si]) {
-                let m = translate(si, r);
-                if best.is_none_or(|(_, b)| (m.end, m.pattern) < (b.end, b.pattern)) {
-                    best = Some((si, m));
+            if let Some(r) = reports.get(cursors[si]) {
+                if best.is_none_or(|(_, b)| key(r) < key(&b)) {
+                    best = Some((si, *r));
                 }
             }
         }
-        let (si, m) = best.expect("total counted a remaining report");
-        out.push(m);
+        let (si, r) = best.expect("total counted a remaining report");
+        out.push(SetMatch {
+            pattern: r.pattern as usize,
+            end: r.end as usize,
+        });
         cursors[si] += 1;
     }
 }
 
-/// Tracks the last candidate end per trailing-`$` pattern. Streams (and
-/// the flow service) report every candidate end of a `$`-anchored
-/// pattern because mid-stream the end is unknown; this records the most
-/// recent one so declaring end-of-stream can resolve which candidates
-/// actually land on the final byte. State lives across feeds —
-/// including zero-byte ones — so a candidate two chunks old still
-/// finishes correctly when the stream ends on an empty chunk.
-#[derive(Debug)]
-pub(crate) struct DollarTracker<'a> {
-    /// Trailing-`$` flags per (global) pattern.
-    anchored_end: &'a [bool],
+/// The last candidate end per trailing-`$` pattern. Streams and served
+/// flows report every candidate end of a `$`-anchored pattern because
+/// mid-stream the end is unknown; this records the most recent one so
+/// declaring end-of-stream can resolve which candidates actually land
+/// on the final byte. Callers record `$`-anchored patterns only. State
+/// lives across feeds — including zero-byte ones — so a candidate two
+/// chunks old still finishes correctly when the stream ends on an empty
+/// chunk.
+#[derive(Debug, Default)]
+pub(crate) struct DollarTracker {
     last: HashMap<usize, u64>,
 }
 
-impl<'a> DollarTracker<'a> {
-    pub(crate) fn new(anchored_end: &'a [bool]) -> DollarTracker<'a> {
-        DollarTracker {
-            anchored_end,
-            last: HashMap::new(),
-        }
-    }
-
-    /// Records a reported candidate `(pattern, end)`; non-`$` patterns
-    /// are ignored.
+impl DollarTracker {
+    /// Records a candidate end of `$`-anchored pattern `pattern`.
     pub(crate) fn observe(&mut self, pattern: usize, end: u64) {
-        if self.anchored_end[pattern] {
-            self.last.insert(pattern, end);
-        }
+        self.last.insert(pattern, end);
     }
 
     /// The finishing set for a stream ending at `position`: `$`-anchored
     /// matches whose last candidate ends exactly there, sorted by
-    /// pattern — what a one-shot `find_ends` would have kept of them.
+    /// pattern — what a one-shot scan would have kept of them.
     pub(crate) fn finish(&self, position: u64) -> Vec<SetMatch> {
         let mut out: Vec<SetMatch> = self
             .last
@@ -597,22 +332,21 @@ impl<'a> DollarTracker<'a> {
 
 /// A resumable chunk-at-a-time matcher over a [`ShardedPatternSet`] (one
 /// [`ShardStream`] per shard); create one with
-/// [`ShardedPatternSet::stream`] or [`Engine::stream`](crate::Engine::stream).
-/// The stream is `Send`, so per-flow states can move onto worker
-/// threads — and its per-shard states are individually detachable
+/// [`Engine::stream`](crate::Engine::stream). The stream is `Send`, so
+/// per-flow states can move onto worker threads — and its per-shard
+/// states are individually detachable
 /// ([`ShardedMulti::shard_stream_with`]), which is what
 /// [`ServiceHandle`](crate::ServiceHandle) builds on to let two workers
 /// advance different shards of the same flow.
 pub struct ShardedSetStream<'a> {
+    set: &'a ShardedPatternSet,
     shards: Vec<ShardStream<'a>>,
     bufs: Vec<Vec<MultiReport>>,
     merged: Vec<SetMatch>,
-    dollar: DollarTracker<'a>,
-    /// The set's literal prefilter (`None` under
-    /// [`PrefilterMode`](crate::PrefilterMode)`::Off`): cold shards
-    /// skip the engines entirely until a literal candidate appears.
-    prefilter: Option<&'a SetPrefilter>,
-    /// Per-shard streaming filter state (AC node + sticky hot flag).
+    dollar: DollarTracker,
+    /// Per-shard streaming filter state (AC node + sticky hot flag);
+    /// cold shards skip the engines entirely until a literal candidate
+    /// appears.
     pre: Vec<PrefilterState>,
     /// Last `window` bytes fed, for cold→hot wake-up replay.
     tail: Vec<u8>,
@@ -623,18 +357,33 @@ pub struct ShardedSetStream<'a> {
 /// cost more than the scan).
 const PARALLEL_MIN_BYTES: usize = 4096;
 
-impl ShardedSetStream<'_> {
+impl<'a> ShardedSetStream<'a> {
+    /// A fresh stream at position 0 over `set`.
+    pub(crate) fn new(set: &'a ShardedPatternSet) -> ShardedSetStream<'a> {
+        let n = set.multi.shard_count();
+        ShardedSetStream {
+            set,
+            shards: set.shard_streams(),
+            bufs: vec![Vec::new(); n],
+            merged: Vec::new(),
+            dollar: DollarTracker::default(),
+            pre: vec![PrefilterState::default(); n],
+            tail: Vec::new(),
+        }
+    }
+
     /// Consumes `chunk` and returns the matches it completed, in stream
     /// order. End offsets are 1-based and *absolute* (counted from the
     /// start of the stream, across all chunks fed so far).
     pub fn feed(&mut self, chunk: &[u8]) -> impl Iterator<Item = SetMatch> + '_ {
+        let set = self.set;
         let chunk_start = self.position();
         // Consult the prefilter per shard before any engine runs. Cold
         // shards skip the scan (their engines stay fresh and teleport
         // via restart_at); a first candidate wakes the shard with a
         // bounded tail replay. Empty chunks scan (a no-op) so the
         // filter state never advances past bytes that were never fed.
-        let actions: Vec<ChunkAction> = match self.prefilter {
+        let actions: Vec<ChunkAction> = match &set.prefilter {
             Some(pf) if !chunk.is_empty() => self
                 .pre
                 .iter_mut()
@@ -681,28 +430,23 @@ impl ShardedSetStream<'_> {
                 run(shard, buf, action);
             }
         }
-        if let Some(pf) = self.prefilter {
+        if let Some(pf) = &set.prefilter {
             pf.extend_tail(&mut self.tail, chunk);
         }
         self.merged.clear();
-        merge_ordered_by(
-            &self.bufs,
-            |_, r: MultiReport| SetMatch {
-                pattern: r.pattern as usize,
-                end: r.end as usize,
-            },
-            &mut self.merged,
-        );
+        merge_ordered(&self.bufs, &mut self.merged);
         for m in &self.merged {
-            self.dollar.observe(m.pattern, m.end as u64);
+            if set.anchored_end[m.pattern] {
+                self.dollar.observe(m.pattern, m.end as u64);
+            }
         }
         self.merged.iter().copied()
     }
 
     /// Declares end-of-stream and returns, sorted by pattern, the
     /// `$`-anchored matches that end **exactly at the final byte** — the
-    /// ones a one-shot [`ShardedPatternSet::find_ends`] over the whole
-    /// stream would keep. (`feed` reports every candidate end of a
+    /// ones a one-shot [`Engine::scan`](crate::Engine::scan) over the
+    /// whole stream would keep. (`feed` reports every candidate end of a
     /// `$`-anchored pattern, because mid-stream the end is unknown; the
     /// non-`$` reports of `feed` plus this finishing set are together
     /// byte-identical to the one-shot scan.)
@@ -729,9 +473,7 @@ impl ShardedSetStream<'_> {
         for shard in &mut self.shards {
             shard.reset();
         }
-        for st in &mut self.pre {
-            st.reset();
-        }
+        self.pre.fill(PrefilterState::default());
         self.tail.clear();
         self.dollar.clear();
     }
@@ -767,21 +509,27 @@ mod tests {
         engine(patterns, ShardPolicy::Single)
     }
 
-    #[test]
-    fn mirrors_per_pattern_find_ends() {
-        let patterns = ["ab{2,3}c", "a{3}", "cab", "x[yz]{2}"];
-        let set = single(&patterns);
-        let haystack = b"abbc.aaa.cab.xyz.abbbc";
+    /// The oracle: the union of per-pattern [`Pattern::find_ends`]
+    /// results, in stream order (ascending end, then pattern).
+    fn oracle(patterns: &[&str], haystack: &[u8]) -> Vec<SetMatch> {
         let mut expected: Vec<SetMatch> = Vec::new();
         for (pi, p) in patterns.iter().enumerate() {
             for end in Pattern::compile(p).unwrap().find_ends(haystack) {
                 expected.push(SetMatch { pattern: pi, end });
             }
         }
-        expected.sort();
-        let mut got = set.scan(haystack);
-        got.sort();
-        assert_eq!(got, expected);
+        expected.sort_by_key(|m| (m.end, m.pattern));
+        expected
+    }
+
+    #[test]
+    fn mirrors_per_pattern_find_ends() {
+        let patterns = ["ab{2,3}c", "a{3}", "cab", "x[yz]{2}"];
+        let haystack = b"abbc.aaa.cab.xyz.abbbc";
+        assert_eq!(
+            single(&patterns).scan(haystack),
+            oracle(&patterns, haystack)
+        );
     }
 
     #[test]
@@ -860,9 +608,9 @@ mod tests {
         let patterns = ["ab$", "ab", "cd$"];
         let input: &[u8] = b"ab.cd";
         let single = single(&patterns);
-        let expected = single.scan(input); // the $-filtered one-shot scan
+        let expected = oracle(&patterns, input);
 
-        // Unsharded stream: non-$ feed reports + finish == scan.
+        // Unsharded stream: non-$ feed reports + finish == the oracle.
         let mut stream = single.stream();
         let mut got = Vec::new();
         for chunk in [&b"ab"[..], b".c", b"d", b""] {
@@ -879,7 +627,7 @@ mod tests {
             "the cd$ candidate arrived two feeds before the empty final chunk"
         );
         got.extend(finishing);
-        got.sort();
+        got.sort_by_key(|m| (m.end, m.pattern));
         assert_eq!(got, expected);
 
         // Sharded stream, same chunking, same contract.
@@ -894,7 +642,7 @@ mod tests {
             );
         }
         got.extend(stream.finish());
-        got.sort();
+        got.sort_by_key(|m| (m.end, m.pattern));
         assert_eq!(got, expected);
     }
 
@@ -937,9 +685,8 @@ mod tests {
     #[test]
     fn sharded_reports_are_byte_identical_to_unsharded() {
         let patterns = ["ab{2,3}c", "a{3}", "cab", "x[yz]{2}", "k\\d{2}"];
-        let single = single(&patterns);
         let haystack = b"abbc.aaa.cab.xyz.k42.abbbc";
-        let expected = single.scan(haystack);
+        let expected = oracle(&patterns, haystack);
         for policy in [
             ShardPolicy::Single,
             ShardPolicy::Fixed(2),
@@ -976,7 +723,8 @@ mod tests {
         let patterns = ["ab{2,4}c", "x{3}", "q[rs]{2}t"];
         let set = engine(&patterns, ShardPolicy::Fixed(3));
         let input = b"zabbbc_xxx_qrst_abbc_xxxx";
-        let oneshot = set.scan(input);
+        let oneshot = oracle(&patterns, input);
+        assert_eq!(set.scan(input), oneshot);
         for chunk_len in [1usize, 2, 7, input.len()] {
             let mut stream = set.stream();
             let mut got = Vec::new();

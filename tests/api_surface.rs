@@ -84,7 +84,6 @@ fn engine_builder_signatures() {
     let _: fn(EngineBuilder, Vec<String>) -> EngineBuilder = |b, ps| b.patterns(ps);
     let _: fn(EngineBuilder, CompileOptions) -> EngineBuilder = EngineBuilder::options;
     let _: fn(EngineBuilder, ShardPolicy) -> EngineBuilder = EngineBuilder::shard_policy;
-    let _: fn(EngineBuilder, usize) -> EngineBuilder = EngineBuilder::workers;
     let _: fn(EngineBuilder, bool) -> EngineBuilder = EngineBuilder::lossy;
     let _: fn(EngineBuilder, PrefilterMode) -> EngineBuilder = EngineBuilder::prefilter;
     let _: fn(EngineBuilder) -> Result<Engine, CompileError> = EngineBuilder::build;
@@ -98,7 +97,6 @@ fn engine_signatures() {
     let _: for<'a> fn(&'a Engine) -> ShardedSetStream<'a> = |e| e.stream();
     let _: fn(&Engine) -> ServiceHandle = |e| e.serve();
     let _: fn(&Engine, usize, ServeConfig) -> ServiceHandle = |e, w, c| e.serve_with(w, c);
-    let _: fn(&Engine) -> ServeConfig = Engine::serve_config;
     let _: fn(&Engine) -> usize = Engine::len;
     let _: fn(&Engine) -> bool = Engine::is_empty;
     let _: for<'a> fn(&'a Engine, usize) -> &'a str = |e, i| e.pattern(i);
@@ -107,7 +105,6 @@ fn engine_signatures() {
     let _: for<'a> fn(&'a Engine) -> &'a [SkippedRule] = |e| e.skipped();
     let _: fn(&Engine) -> usize = Engine::shard_count;
     let _: fn(&Engine) -> PrefilterMode = Engine::prefilter;
-    let _: fn(&Engine) -> usize = Engine::workers;
     let _: for<'a> fn(&'a Engine) -> &'a ShardedPatternSet = |e| e.set();
 }
 

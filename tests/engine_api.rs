@@ -139,7 +139,11 @@ fn stream_agrees_with_scan_across_chunkings() {
         .build()
         .unwrap();
     let input = b"zabbbc_xxx_qrst_abbc_xxxx";
-    let oneshot = engine.scan(input);
+    // The per-pattern oracle in stream order: a block scan is itself a
+    // stream feed, so the oracle is what keeps this check independent.
+    let mut oneshot = baseline(&["ab{2,4}c", "x{3}", "q[rs]{2}t"], input);
+    oneshot.sort_by_key(|m| (m.end, m.pattern));
+    assert_eq!(engine.scan(input), oneshot);
     for chunk_len in [1usize, 3, 9, input.len()] {
         let mut stream = engine.stream();
         let mut got = Vec::new();
@@ -201,11 +205,9 @@ fn scheduler_from_engine_serves_flows() {
     let engine = Engine::builder()
         .patterns(["ab{2}c", "xyz"])
         .shard_policy(ShardPolicy::Fixed(2))
-        .workers(2)
         .build()
         .unwrap();
-    assert_eq!(engine.workers(), 2);
-    let svc = engine.serve();
+    let svc = engine.serve_with(2, ServeConfig::default());
     assert_eq!(svc.workers(), 2);
     let (seven, nine) = (svc.open_flow(), svc.open_flow());
     svc.push(seven, b"..ab");
@@ -223,12 +225,11 @@ fn service_reports_match_independent_streams() {
     let engine = Engine::builder()
         .patterns(["ab{2,4}c", "x{3}", "q[rs]{2}t"])
         .shard_policy(ShardPolicy::Fixed(3))
-        .workers(3)
         .build()
         .unwrap();
     let flow_a: Vec<&[u8]> = vec![b"zab", b"bbc_x", b"xx"];
     let flow_b: Vec<&[u8]> = vec![b"qrst", b"", b"_abbc"];
-    let svc = engine.serve();
+    let svc = engine.serve_with(3, ServeConfig::default());
     let (a, b) = (svc.open_flow(), svc.open_flow());
     svc.push(a, flow_a[0]);
     svc.push(b, flow_b[0]);
@@ -258,16 +259,14 @@ fn service_reports_match_independent_streams() {
 
 /// A service with a tiny per-flow budget over `patterns`.
 fn budgeted(patterns: &[&str], workers: usize, flow_budget: usize) -> (Engine, ServiceHandle) {
-    let engine = Engine::builder()
-        .patterns(patterns)
-        .workers(workers)
-        .serve_config(ServeConfig {
+    let engine = Engine::new(patterns).unwrap();
+    let svc = engine.serve_with(
+        workers,
+        ServeConfig {
             flow_budget,
             ..ServeConfig::default()
-        })
-        .build()
-        .unwrap();
-    let svc = engine.serve();
+        },
+    );
     (engine, svc)
 }
 
@@ -331,16 +330,14 @@ fn await_evictions(svc: &ServiceHandle, mut keep_busy: impl FnMut()) -> Vec<reca
 }
 
 fn idle_evicting(patterns: &[&str]) -> (Engine, ServiceHandle) {
-    let engine = Engine::builder()
-        .patterns(patterns)
-        .workers(1)
-        .serve_config(ServeConfig {
+    let engine = Engine::new(patterns).unwrap();
+    let svc = engine.serve_with(
+        1,
+        ServeConfig {
             idle_timeout: Some(Duration::from_millis(20)),
             ..ServeConfig::default()
-        })
-        .build()
-        .unwrap();
-    let svc = engine.serve();
+        },
+    );
     (engine, svc)
 }
 
@@ -460,12 +457,8 @@ fn engine_and_service_are_send_sync() {
     assert_send_sync::<ServeConfig>();
 
     // Producers really can fan out over one handle.
-    let engine = Engine::builder()
-        .patterns(["kk"])
-        .workers(2)
-        .build()
-        .unwrap();
-    let svc = engine.serve();
+    let engine = Engine::new(["kk"]).unwrap();
+    let svc = engine.serve_with(2, ServeConfig::default());
     let flows: Vec<_> = (0..4).map(|_| svc.open_flow()).collect();
     std::thread::scope(|scope| {
         let handles: Vec<_> = flows

@@ -115,20 +115,22 @@ proptest! {
         prop_assert_eq!(on.prefilter(), PrefilterMode::On);
         prop_assert_eq!(off.prefilter(), PrefilterMode::Off);
 
+        // The oracle in stream order (ascending end, then pattern). A
+        // block scan is one stream feed, so every path is held to it.
+        let mut oracle = union_of_per_pattern_matches(&patterns, &input);
+        oracle.sort_by_key(|m| (m.end, m.pattern));
+
         // Block scans: byte-identical, and both equal the oracle.
         let got_on = on.scan(&input);
-        let got_off = off.scan(&input);
-        prop_assert_eq!(&got_on, &got_off, "block scan diverges");
-        let mut sorted = got_on.clone();
-        sorted.sort();
-        prop_assert_eq!(sorted, union_of_per_pattern_matches(&patterns, &input));
+        prop_assert_eq!(&got_on, &off.scan(&input), "block scan diverges");
+        prop_assert_eq!(&got_on, &oracle, "block scan diverges from the oracle");
 
         // Chunked streams: the filter's resumable state must make every
         // boundary invisible.
         let streamed_on = chunked_reports(&on, &input, chunk_len);
         let streamed_off = chunked_reports(&off, &input, chunk_len);
         prop_assert_eq!(&streamed_on, &streamed_off, "stream diverges");
-        prop_assert_eq!(&streamed_on, &got_on, "stream diverges from block scan");
+        prop_assert_eq!(&streamed_on, &oracle, "stream diverges from the oracle");
 
         // Service checkout skipping: same contract once more.
         prop_assert_eq!(
@@ -147,7 +149,9 @@ fn literals_split_across_every_chunk_boundary() {
     let on = engine(&patterns, PrefilterMode::On);
     let off = engine(&patterns, PrefilterMode::Off);
     let input = b"..hdr42end..magic..nnababmm..hdr9";
-    let oneshot = off.scan(input);
+    let mut oneshot = union_of_per_pattern_matches(&patterns, input);
+    oneshot.sort_by_key(|m| (m.end, m.pattern));
+    assert_eq!(off.scan(input), oneshot);
     assert!(!oneshot.is_empty(), "test input must contain matches");
     for cut in 1..input.len() {
         for eng in [&on, &off] {
@@ -246,7 +250,7 @@ mod service {
     //! The owned-service half of the contract: hot reload with a changed
     //! literal set, and the metrics block.
 
-    use recama::{Engine, FlowId, PrefilterMode, RuleMatch, ServiceHandle};
+    use recama::{Engine, FlowId, PrefilterMode, RuleMatch, ServeConfig, ServiceHandle};
 
     /// Stable-rule-id oracle: one fresh stream of an **unfiltered**
     /// build over `data`, ends offset by `base`.
@@ -277,7 +281,7 @@ mod service {
     }
 
     fn build(rules: &[(u64, &str)], mode: PrefilterMode) -> Engine {
-        let mut b = Engine::builder().workers(2).prefilter(mode);
+        let mut b = Engine::builder().prefilter(mode);
         for (id, p) in rules {
             b = b.rule(*id, *p);
         }
@@ -301,7 +305,7 @@ mod service {
         let pre: &[u8] = b"..alpha7..omega..del";
         let post: &[u8] = b"ta9..delta5..omega";
 
-        let svc = a.serve();
+        let svc = a.serve_with(2, ServeConfig::default());
         let flow = svc.open_flow();
         push_chunked(&svc, flow, pre, 0x9e37);
         svc.barrier(); // drained: the cut lands at the pre/post boundary
@@ -335,7 +339,7 @@ mod service {
     #[test]
     fn metrics_block_absent_when_the_filter_is_off() {
         let eng = build(&[(1, "magic")], PrefilterMode::Off);
-        let svc = eng.serve();
+        let svc = eng.serve_with(2, ServeConfig::default());
         let flow = svc.open_flow();
         svc.push(flow, b"..magic..");
         svc.close(flow);
@@ -352,7 +356,7 @@ mod quarantine {
     //! filter state intact — including an Aho–Corasick automaton parked
     //! mid-literal across the fault.
 
-    use recama::{Engine, FaultPlan, FlowId, PrefilterMode, RuleMatch, ServeError};
+    use recama::{Engine, FaultPlan, FlowId, PrefilterMode, RuleMatch, ServeConfig, ServeError};
 
     fn rules() -> [(u64, &'static str); 2] {
         [(1, "needle[0-9]z"), (2, "magicword")]
@@ -382,7 +386,6 @@ mod quarantine {
             Engine::builder()
                 .rule(ra, pa)
                 .rule(rb, pb)
-                .workers(2)
                 .prefilter(PrefilterMode::On)
                 .fault_plan(plan)
                 .build()
@@ -398,7 +401,7 @@ mod quarantine {
                 .unwrap()
         };
 
-        let svc = engine.serve();
+        let svc = engine.serve_with(2, ServeConfig::default());
         let flows: Vec<FlowId> = (0..3).map(|_| svc.open_flow()).collect();
 
         // Sibling rounds: benign, then a literal cut mid-word twice.

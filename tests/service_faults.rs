@@ -21,12 +21,11 @@ use recama::{
 };
 use std::time::Duration;
 
-fn engine_with(plan: FaultPlan, workers: usize) -> Engine {
+fn engine_with(plan: FaultPlan) -> Engine {
     Engine::builder()
         .rule(10, "ab{2,3}c")
         .rule(20, "xyz$")
         .rule(30, "k[0-9]{2,4}m")
-        .workers(workers)
         .fault_plan(plan)
         .build()
         .unwrap()
@@ -73,8 +72,8 @@ fn assert_clean(m: &ServiceMetrics) {
 fn one_panic_quarantines_one_flow_and_the_rest_keep_flowing() {
     let chunks: &[&[u8]] = &[b".abbc.", b"k12m..", b"xyz.ab", b"bc.xyz"];
     let plan = FaultPlan::new().panic_at(1, 0, 2, "injected: flow 1 dies at scan 2");
-    let engine = engine_with(plan, 2);
-    let svc = engine.serve();
+    let engine = engine_with(plan);
+    let svc = engine.serve_with(2, ServeConfig::default());
 
     let flows: Vec<FlowId> = (0..4).map(|_| svc.open_flow()).collect();
     drive(&svc, &flows, chunks);
@@ -165,7 +164,7 @@ fn randomized_faults_never_leak_into_sibling_flows() {
     /// Runs the fixed schedule and returns each flow's full drained
     /// output, or `None` for a quarantined flow.
     fn run(workers: usize, plan: FaultPlan, reload_to: &Engine) -> Vec<Option<Vec<RuleMatch>>> {
-        let engine = engine_with(plan, workers);
+        let engine = engine_with(plan);
         let svc = engine.serve_with(
             workers,
             ServeConfig {
@@ -236,7 +235,7 @@ fn randomized_faults_never_leak_into_sibling_flows() {
                 plan = plan.panic_at(flow, 0, scan, format!("chaos f{flow}s{scan}"));
             }
 
-            let reload_to = engine_with(FaultPlan::new(), workers);
+            let reload_to = engine_with(FaultPlan::new());
             let baseline = run(workers, FaultPlan::new(), &reload_to);
             let chaotic = run(workers, plan, &reload_to);
 
@@ -268,7 +267,7 @@ fn exhausted_restart_budget_falls_back_to_fail_stop() {
         .panic_at(0, 0, 1, "boom-0")
         .panic_at(1, 0, 1, "boom-1")
         .panic_at(2, 0, 1, "boom-2");
-    let engine = engine_with(plan, 2);
+    let engine = engine_with(plan);
     let svc = engine.serve_with(
         2,
         ServeConfig {
@@ -332,8 +331,8 @@ fn injected_delays_change_timing_but_not_output() {
         .delay_at(0, 0, 1, Duration::from_millis(30))
         .delay_at(2, 0, 2, Duration::from_millis(30));
     assert!(!plan.is_empty());
-    let engine = engine_with(plan, 2);
-    let svc = engine.serve();
+    let engine = engine_with(plan);
+    let svc = engine.serve_with(2, ServeConfig::default());
 
     let flows: Vec<FlowId> = (0..3).map(|_| svc.open_flow()).collect();
     drive(&svc, &flows, chunks);
@@ -355,7 +354,7 @@ fn injected_delays_change_timing_but_not_output() {
 #[test]
 fn overload_high_watermark_sheds_opens_and_evicts_per_policy() {
     let plan = FaultPlan::new().delay_at(1, 0, 1, Duration::from_millis(300));
-    let engine = engine_with(plan, 2);
+    let engine = engine_with(plan);
     let svc = engine.serve_with(
         2,
         ServeConfig {

@@ -63,7 +63,6 @@ fn v1() -> Engine {
         .rule(10, "ab{2,3}c")
         .rule(20, "xyz$")
         .rule(30, "k[0-9]{2,4}m")
-        .workers(2)
         .build()
         .unwrap()
 }
@@ -75,7 +74,6 @@ fn v2() -> Engine {
         .rule(40, "ab{2,3}c")
         .rule(20, "xyz$")
         .rule(50, "q{2,4}w")
-        .workers(2)
         .build()
         .unwrap()
 }
@@ -84,7 +82,7 @@ fn v2() -> Engine {
 fn reload_at_flow_boundary_is_byte_identical_to_fresh_engine_scans() {
     let a = v1();
     let b = v2();
-    let svc = a.serve();
+    let svc = a.serve_with(2, ServeConfig::default());
 
     // Per-flow (pre, post) halves. The first flow parks a counter rule
     // mid-count at the cut: "..abb" + "bc." concatenated would match
@@ -132,7 +130,7 @@ fn reload_at_flow_boundary_is_byte_identical_to_fresh_engine_scans() {
 fn reports_keep_stable_rule_ids_across_the_swap() {
     let a = v1();
     let b = v2();
-    let svc = a.serve();
+    let svc = a.serve_with(2, ServeConfig::default());
     let flow = svc.open_flow();
 
     svc.push(flow, b".xyz"); // rule 20 under engine A (pattern index 1)
@@ -158,7 +156,7 @@ fn reports_keep_stable_rule_ids_across_the_swap() {
 fn retired_epochs_free_when_their_last_flow_lets_go() {
     let a = v1();
     let b = v2();
-    let svc = a.serve();
+    let svc = a.serve_with(2, ServeConfig::default());
 
     let migrator = svc.open_flow();
     let holdout = svc.open_flow();
@@ -212,10 +210,9 @@ fn slot_reuse_never_leaks_a_stale_flows_matches() {
     let engine = Engine::builder()
         .rule(1, "ab{2,3}c")
         .rule(2, "xyz$")
-        .workers(2)
         .build()
         .unwrap();
-    let svc = engine.serve();
+    let svc = engine.serve_with(2, ServeConfig::default());
 
     let mut stale: Vec<FlowId> = Vec::new();
     for round in 0u64..50 {
@@ -258,10 +255,9 @@ fn drain_global_yields_each_flow_in_stream_order_exactly_once() {
     let engine = Engine::builder()
         .rule(7, "ab{2,3}c")
         .rule(8, "k[0-9]{2,4}m")
-        .workers(3)
         .build()
         .unwrap();
-    let svc = engine.serve();
+    let svc = engine.serve_with(3, ServeConfig::default());
 
     let payloads: &[&[u8]] = &[
         b".abbc.k12m.abbbc",
@@ -302,16 +298,8 @@ fn drain_global_yields_each_flow_in_stream_order_exactly_once() {
 /// and by per-epoch rule identity.
 #[test]
 fn mid_traffic_reload_loses_no_matches() {
-    let a = Engine::builder()
-        .rule(1, "ab{2}c")
-        .workers(2)
-        .build()
-        .unwrap();
-    let b = Engine::builder()
-        .rule(1, "ab{2}c")
-        .workers(2)
-        .build()
-        .unwrap();
+    let a = Engine::builder().rule(1, "ab{2}c").build().unwrap();
+    let b = Engine::builder().rule(1, "ab{2}c").build().unwrap();
     let svc = a.serve_with(
         2,
         ServeConfig {
@@ -383,11 +371,7 @@ fn double_close_after_reload() {
 /// per-epoch flow counts never sum past the tracked-flow gauge.
 #[test]
 fn metrics_snapshot_stays_coherent_while_reload_races_pushes() {
-    let a = Engine::builder()
-        .rule(1, "ab{2}c")
-        .workers(2)
-        .build()
-        .unwrap();
+    let a = Engine::builder().rule(1, "ab{2}c").build().unwrap();
     let svc = a.serve_with(2, ServeConfig::default());
 
     std::thread::scope(|scope| {
@@ -407,11 +391,7 @@ fn metrics_snapshot_stays_coherent_while_reload_races_pushes() {
         // Reloader: installs a new epoch as fast as it can compile one.
         scope.spawn(|| {
             for _ in 0..10 {
-                let b = Engine::builder()
-                    .rule(1, "ab{2}c")
-                    .workers(2)
-                    .build()
-                    .unwrap();
+                let b = Engine::builder().rule(1, "ab{2}c").build().unwrap();
                 svc.reload(&b);
             }
         });
